@@ -99,11 +99,11 @@ def _manifest_path(out: Path) -> Path:
     return out.with_name(out.name + ".manifest")
 
 
-def _write_manifest(out: Path, cfg: SearchConfig, stats, prefix: str = "") -> None:
+def _write_manifest(out: Path, cfg: SearchConfig, stats, emit_mode: str, prefix: str = "") -> None:
     manifest = RunManifest(
         n=cfg.n,
         rules=cfg.rules,
-        emit_mode=cfg.emit_mode,
+        emit_mode=emit_mode,
         thread_count=cfg.thread_count,
         engine_version=__version__,
         wall_time=stats.wall_time,
@@ -116,13 +116,7 @@ def _write_manifest(out: Path, cfg: SearchConfig, stats, prefix: str = "") -> No
 
 
 def _cmd_generate(args) -> int:
-    cfg = SearchConfig(
-        n=args.n,
-        rules=args.rules,
-        emit_mode=_FORMATS[args.format],
-        maximal_only=args.maximal_only,
-        thread_count=args.threads,
-    )
+    cfg = SearchConfig(n=args.n, rules=args.rules, thread_count=args.threads)
     out_path = Path(args.out) if args.out else None
     fh = open(out_path, "w") if out_path else sys.stdout
     sizes: Counter[int] = Counter()
@@ -150,7 +144,7 @@ def _cmd_generate(args) -> int:
         if out_path:
             fh.close()
     if out_path:
-        _write_manifest(out_path, cfg, stats, prefix=args.prefix or "")
+        _write_manifest(out_path, cfg, stats, _FORMATS[args.format], prefix=args.prefix or "")
     print(
         f"emitted {stats.leaves_emitted} classes "
         f"({stats.nodes_visited} nodes, {stats.nodes_pruned} pruned, "
@@ -230,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--out", help="output file (default: stdout)")
     gen.add_argument("--format", choices=sorted(_FORMATS), default="conditions")
-    gen.add_argument("--maximal-only", action="store_true", help="drop non-maximal domains")
     gen.add_argument("--threads", type=int, default=1)
     gen.add_argument("--prefix", help="code-string prefix: search only that subtree")
 

@@ -2,18 +2,67 @@
 
 A complete assignment describes the maximal set of linear orders that
 satisfy every assigned condition; that set always has transitive pairwise
-majorities.  Expansion extends order prefixes one most-preferred element at
-a time, checking each condition as soon as the rank it constrains is
-decided, instead of filtering all n! orders.
+majorities.  Expansion grows the orders of 1..m one alternative at a time,
+the same row extension the search engine carries: ``extend_rows`` inserts
+alternative m+1 at every position of every order and records the pattern
+of each new triple, and each slot's condition then filters the rows, so an
+order that an earlier slot rules out is never extended.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from math import comb, factorial
+from math import comb
+
+import numpy as np
 
 from . import core
 from .lexcode import Assignment, num_slots
+
+_RANK_LUT = np.array(core.RANKBITS_TO_PATTERN, dtype=np.uint8)
+
+# KEEP[c, p]: pattern index p (into core.ALL_PATTERNS) satisfies condition
+# code c.  Row 0, the unassigned code, keeps nothing.
+KEEP = np.array(
+    [[c in core.SAT_MASKS and bool(core.SAT_MASKS[c] >> p & 1) for p in range(6)] for c in range(7)]
+)
+
+
+def root_rows():
+    """The orders of 1..2 and their pattern columns (none yet)."""
+    return np.array([[1, 2], [2, 1]], dtype=np.int8), np.zeros((2, 0), dtype=np.uint8)
+
+
+def extend_rows(pd, pat, m):
+    """Insert alternative m+1 at every position of every order of 1..m.
+
+    pd holds one order per row and pat the pattern index of each row on
+    every triple over 1..m.  Returns both for 1..m+1: an insertion leaves
+    the old patterns alone, so only the columns of the new triples are
+    computed.
+    """
+    e = m + 1
+    rows = pd.shape[0]
+    pdn = np.empty((rows * e, e), dtype=np.int8)
+    for p in range(e):
+        pdn[p::e, :p] = pd[:, :p]
+        pdn[p::e, p] = e
+        pdn[p::e, p + 1 :] = pd[:, p:]
+    so, sn = comb(m, 3), comb(e, 3)
+    patn = np.empty((rows * e, sn), dtype=np.uint8)
+    patn[:, :so] = np.repeat(pat, e, axis=0)
+    pos = np.empty((rows * e, e), dtype=np.int8)
+    np.put_along_axis(
+        pos,
+        pdn.astype(np.int64) - 1,
+        np.broadcast_to(np.arange(e, dtype=np.int8), pdn.shape),
+        axis=1,
+    )
+    for s in range(so, sn):
+        a, b, c = core.triple_at(s, e)
+        pa, pb, pc = pos[:, a - 1], pos[:, b - 1], pos[:, c - 1]
+        patn[:, s] = _RANK_LUT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
+    return pdn, patn
 
 
 class Domain:
@@ -46,53 +95,24 @@ class Domain:
         return f"Domain(n={self.n}, size={len(self.orders)})"
 
 
-def _element_slots(n: int) -> list[list[tuple[int, int]]]:
-    """For each alternative, the (slot, in-triple position) pairs it joins."""
-    table: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for k in range(num_slots(n)):
-        a, b, c = core.triple_at(k, n)
-        table[a].append((k, 1))
-        table[b].append((k, 2))
-        table[c].append((k, 3))
-    return table
+def _rows(assignment: Assignment) -> np.ndarray:
+    """The orders of a complete assignment as an int8 matrix, one per row."""
+    if not assignment.is_complete:
+        raise ValueError("expansion needs a complete assignment")
+    pd, pat = root_rows()
+    m = 2
+    for k, code in enumerate(assignment.codes):
+        if k == comb(m, 3):
+            pd, pat = extend_rows(pd, pat, m)
+            m += 1
+        sel = KEEP[code][pat[:, k]]
+        pd, pat = pd[sel], pat[sel]
+    return pd
 
 
 def expand(assignment: Assignment) -> Domain:
     """All linear orders satisfying every condition of a complete assignment."""
-    if not assignment.is_complete:
-        raise ValueError("expansion needs a complete assignment")
-    n = assignment.n
-    slots_of = _element_slots(n)
-    cond = [core.CONDITION_PAIRS[c] for c in assignment.codes]
-    placed = [0] * num_slots(n)
-    used = [False] * (n + 1)
-    prefix: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    def rec() -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(1, n + 1):
-            if used[e]:
-                continue
-            ok = True
-            for k, pos in slots_of[e]:
-                placed[k] += 1
-                x, y = cond[k]
-                if placed[k] == y and pos == x:
-                    ok = False
-            if ok:
-                used[e] = True
-                prefix.append(e)
-                rec()
-                prefix.pop()
-                used[e] = False
-            for k, _pos in slots_of[e]:
-                placed[k] -= 1
-
-    rec()
-    return Domain(n, out, source=assignment)
+    return Domain(assignment.n, _rows(assignment).tolist(), source=assignment)
 
 
 def expand_filtered(assignment: Assignment) -> Domain:
@@ -112,8 +132,8 @@ def expand_filtered(assignment: Assignment) -> Domain:
 
 
 def expand_size(assignment: Assignment) -> int:
-    """Domain size of a complete assignment."""
-    return len(expand(assignment))
+    """Domain size of a complete assignment, without building the Domain."""
+    return len(_rows(assignment))
 
 
 def is_unitary(domain: Domain) -> bool:

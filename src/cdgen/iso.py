@@ -8,31 +8,32 @@ which no unitary domain can satisfy; such images are reported as code 0 and
 reject the permutation wherever a valid image is required.
 
 Permutations are written as tuples of images: g[x-1] is the image of
-alternative x, and alternatives beyond len(g) are fixed.  They are
-enumerated in lexicographic order of the image sequence.
+alternative x, and alternatives beyond len(g) are fixed.
+
+Few relabelings matter to the canonicity tests.  Call g *acting* for
+(n, rules) when every triple keeps some rule inside the rules under g; a
+relabeling that is not acting maps no complete assignment into the rules,
+so it can neither beat a complete assignment nor an open prefix.  The
+acting set is built once per (n, rules) by a depth-first search over
+partial permutations, without visiting all of S_n: at n=8 it has 2, 34
+and 8 members for 2N3,2N1, 1N3,3N1 and 1N3,2N1, against 8! = 40320.  Both
+canonicity tests are one dominance test over the rows of that set.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from itertools import permutations as _permutations
 from math import comb, factorial
 
 import numpy as np
 
 from . import core
-from .lexcode import GREATER, Assignment, lex_compare
+from .lexcode import Assignment
 
-_PERM_CACHE = {}
-
-
-def permutations_of(m: int) -> list[tuple[int, ...]]:
-    """All permutations of 1..m, lexicographic by image sequence, cached."""
-    if m not in _PERM_CACHE:
-        if m > 9:
-            raise ValueError(f"refusing to materialize {m}! permutations")
-        _PERM_CACHE[m] = list(_permutations(range(1, m + 1)))
-    return _PERM_CACHE[m]
+# Largest acting set that is tabulated.  No rule set exceeds it up to n=8,
+# where S_8 itself has 8! members.  A rule set containing 1N2,3N2, 1N3,2N3
+# or 2N1,3N1 keeps a rule on every triple under every relabeling, so from
+# n=9 on its acting set is all of S_n and the tables would take gigabytes.
+ACTING_CAP = factorial(8)
 
 
 def apply_alt(g: tuple[int, ...], x: int) -> int:
@@ -82,148 +83,112 @@ def transform(assignment: Assignment, g: tuple[int, ...], rules: tuple[int, ...]
     return Assignment(n, bytes(codes))
 
 
-# Effect of swapping in-triple positions 1 and 2 on each condition code,
-# which is what a relabeling does to a triple with two members below the
-# permuted region's ceiling and one above.  0 marks a degenerate image.
-_PAIR_FLIP = {1: 0, 2: 4, 3: 0, 4: 2, 5: 5, 6: 6}
-
-
-def flip_closed(rules: tuple[int, ...]) -> bool:
-    """True iff every rule survives a position-1/2 flip inside the rule set."""
-    allowed = set(rules)
-    return all(_PAIR_FLIP[c] in allowed for c in allowed)
-
-
 def _validate_prefix(assignment: Assignment, rules: tuple[int, ...]) -> int:
     if not assignment.is_colex_prefix():
         raise ValueError("assigned slots must form a co-lex prefix")
-    allowed = set(rules)
     k = assignment.assigned_count
-    for c in assignment.codes[:k]:
-        if c not in allowed:
-            raise ValueError(f"assigned code {c} is outside the rule set")
+    outside = set(assignment.codes[:k]) - set(rules)
+    if outside:
+        raise ValueError(f"assigned code {min(outside)} is outside the rule set")
     return k
 
 
 def is_partially_lex_max(assignment: Assignment, rules: tuple[int, ...]) -> bool:
     """Partial maximality test used to prune the orderly search.
 
-    Permutations of 1..m (m = largest assigned alternative; identity beyond)
-    are screened by three rejection rules before their transform is compared
-    against the assignment:
+    A prefix of k assigned slots is dominated when some relabeling g
 
-    a. an assigned condition has a degenerate image or one outside the rules;
-    b. an unassigned triple has some allowed condition whose image leaves the
-       rules;
-    c. an unassigned triple maps onto an assigned slot (equivalently the
-       assigned slots are not permuted among themselves).
+    a. maps every assigned condition to a valid image inside the rules;
+    b. maps every allowed condition on every unassigned slot into the rules;
+    c. keeps the assigned slots among themselves;
 
-    The assignment passes when no surviving permutation yields a
-    lexicographically greater transform.  Rule (b) silently covers the
-    triples straddling the support boundary: a triple with two members below
-    m and one above sees its conditions flipped through _PAIR_FLIP, so when
-    alternatives beyond m exist and the rule set is not flip-closed, every
-    non-identity permutation dies on rule (b) and the test passes outright.
+    and carries the prefix to a lexicographically greater one.  Then g maps
+    every completion of the prefix into the rules, by (a) and (b), onto an
+    assignment that starts with the greater prefix, by (c); no completion
+    is canonical and the full search never needs to enter the prefix.
+    Rules (a) and (b) make g acting, so only the rows of the acting set
+    are tried.  The prefix passes when it is not dominated; with every slot
+    assigned this is the exact canonicity test.
     """
     k = _validate_prefix(assignment, rules)
     if k == 0 or len(set(rules)) == 1:
         return True
-    n = assignment.n
-    codes = assignment.codes
-    m = core.triple_at(k - 1, n)[2]
-    if m < n and not flip_closed(rules):
-        return True
-    if m == n and n >= 6:
-        if _tables_for(n) is not None:
-            return _partial_vectorized(assignment, rules, k)
-        # n >= 9: screening here would stream n! permutation blocks per
-        # node; skip it and let the exact leaf gate do the rejecting.
-        return True
-    triples = [core.triple_at(i, n) for i in range(comb(m, 3))]
-    allowed = set(rules)
-    identity = tuple(range(1, m + 1))
-
-    for g in permutations_of(m):
-        if g == identity:
-            continue
-        trans = bytearray(k)
-        ok = True
-        for i in range(k):
-            s = core.triple_index(apply_to_triple(g, triples[i]), n)
-            if s >= k:
-                ok = False  # rule (c): bumps an assigned slot off the prefix
-                break
-            c2 = induced_condition(triples[i], codes[i], g)
-            if c2 == 0 or c2 not in allowed:
-                ok = False  # rule (a)
-                break
-            trans[s] = c2
-        if not ok:
-            continue
-        for u in range(k, comb(m, 3)):
-            pm = position_map(triples[u], g)
-            for c in allowed:
-                i, j = core.CONDITION_PAIRS[c]
-                i2 = pm[i - 1]
-                if i2 == j or core.CONDITION_CODES[(i2, j)] not in allowed:
-                    ok = False  # rule (b)
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if bytes(trans) > codes[:k]:
-            return False
-    return True
+    return not _dominated(assignment.codes, k, _acting_tables(assignment.n, rules))
 
 
 def is_canonical_complete(assignment: Assignment, rules: tuple[int, ...]) -> bool:
     """Exact test: no rule-respecting relabeling is lexicographically greater.
 
-    Unlike the partial test this screens permutations of all of 1..n by rule
-    (a) alone; there are no unassigned slots left to protect.  A singleton
-    rule set short-circuits: the only complete assignment is its own class.
+    The dominance test of :func:`is_partially_lex_max` at full length,
+    where rules (b) and (c) hold for every relabeling.  A singleton rule
+    set short-circuits: the only complete assignment is its own class.
     """
     if not assignment.is_complete:
         raise ValueError("exact canonicity test needs a complete assignment")
+    return is_partially_lex_max(assignment, rules)
+
+
+def _keeps_some_rule(rules: tuple[int, ...]) -> list[bool]:
+    """Whether a triple keeps some rule, keyed by how g orders its images.
+
+    The key of images x, y, z of a triple's smallest, middle and largest
+    member is 4*(x<y) + 2*(x<z) + (y<z), as in core.RANKBITS_TO_PATTERN;
+    keys 2 and 5 are cyclic and never occur.
+    """
     allowed = set(rules)
-    for c in assignment.codes:
-        if c not in allowed:
-            raise ValueError(f"assigned code {c} is outside the rule set")
-    if len(set(rules)) == 1:
-        return True
-    if assignment.n >= 6:
-        return _canonical_vectorized(assignment, rules)
-    return _canonical_loop(assignment, rules)
+    out = []
+    for key in range(8):
+        xy, xz, yz = key >> 2 & 1, key >> 1 & 1, key & 1
+        ranks = (3 - xy - xz, 2 + xy - yz, 1 + xz + yz)
+        out.append(
+            any(
+                ranks[i - 1] != j and core.CONDITION_CODES[(ranks[i - 1], j)] in allowed
+                for i, j in (core.CONDITION_PAIRS[c] for c in allowed)
+            )
+        )
+    return out
 
 
-def _canonical_loop(assignment: Assignment, rules: tuple[int, ...]) -> bool:
-    for g in permutations_of(assignment.n):
-        t = transform(assignment, g, rules)
-        if t is not None and lex_compare(t, assignment) == GREATER:
-            return False
-    return True
+def acting_set(n: int, rules: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every acting relabeling of 1..n, lexicographic by image sequence.
 
+    Alternatives receive their images in the order 1, 2, .., n, and each
+    triple is checked as soon as the image of its largest member is fixed,
+    so a dead partial permutation is cut before it is completed.  Raises
+    ValueError beyond ACTING_CAP members.
+    """
+    keeps = _keeps_some_rule(rules)
+    pairs_below = [[(a, b) for b in range(2, x) for a in range(1, b)] for x in range(n + 1)]
+    images = [0] * (n + 1)
+    used = [False] * (n + 1)
+    found: list[tuple[int, ...]] = []
 
-_TABLE_CACHE = {}
-_PERM_CHUNK = 60_000
-
-
-def _perm_blocks(n: int):
-    """Permutations of 1..n as int8 arrays in lexicographic chunks."""
-    if n <= 8:
-        yield np.array(permutations_of(n), dtype=np.int8)
-        return
-    it = _permutations(range(1, n + 1))
-    while True:
-        block = list(islice(it, _PERM_CHUNK))
-        if not block:
+    def place(x: int) -> None:
+        if x > n:
+            if len(found) == ACTING_CAP:
+                raise ValueError(
+                    f"n={n} with rules {core.rules_token(rules)} has more than "
+                    f"{ACTING_CAP} acting relabelings, the cap of the canonicity tables"
+                )
+            found.append(tuple(images[1:]))
             return
-        yield np.array(block, dtype=np.int8)
+        for v in range(1, n + 1):
+            if used[v]:
+                continue
+            if all(
+                keeps[4 * (images[a] < images[b]) + 2 * (images[a] < v) + (images[b] < v)]
+                for a, b in pairs_below[x]
+            ):
+                used[v], images[x] = True, v
+                place(x + 1)
+                used[v] = False
+
+    place(1)
+    return found
 
 
 def _transform_tables(perms: np.ndarray, n: int):
-    """Image-slot and induced-code tables for a block of permutations.
+    """Image-slot and induced-code tables for permutations, one per row.
 
     slot_map[g, s] is the slot of the image of triple s under permutation g;
     code_map[g, s, c] is the induced code of condition c there, 0 when the
@@ -246,92 +211,51 @@ def _transform_tables(perms: np.ndarray, n: int):
     return slot_map, code_map
 
 
-def _tables_for(n: int):
-    if n not in _TABLE_CACHE:
-        if factorial(n) > _PERM_CHUNK * 2:
-            return None
-        perms = np.array(permutations_of(n), dtype=np.int8)
-        _TABLE_CACHE[n] = _transform_tables(perms, n)
-    return _TABLE_CACHE[n]
+_ACTING_CACHE = {}
 
 
-def _beats_input(codes_arr: np.ndarray, slot_map, code_map, in_rules) -> bool:
-    """True when some valid relabeling in the block is lexicographically greater."""
-    count, slots = slot_map.shape
-    img = code_map[:, np.arange(slots), codes_arr]
-    valid = in_rules[img].all(axis=1)
-    if not valid.any():
-        return False
-    img = img[valid]
-    trans = np.empty_like(img)
-    rows = np.repeat(np.arange(img.shape[0]), slots)
-    trans[rows, slot_map[valid].ravel()] = img.ravel()
-    neq = trans != codes_arr
-    any_neq = neq.any(axis=1)
-    first = neq.argmax(axis=1)
-    greater = trans[np.arange(trans.shape[0]), first] > codes_arr[first]
-    return bool((any_neq & greater).any())
+def _acting_tables(n: int, rules: tuple[int, ...]):
+    """Dominance tables over the acting set of (n, rules), built once.
 
-
-def _canonical_vectorized(assignment: Assignment, rules: tuple[int, ...]) -> bool:
-    n = assignment.n
-    codes_arr = np.frombuffer(assignment.codes, dtype=np.uint8).astype(np.int64)
-    in_rules = np.zeros(7, dtype=bool)
-    in_rules[list(rules)] = True
-    cached = _tables_for(n)
-    if cached is not None:
-        slot_map, code_map = cached
-        return not _beats_input(codes_arr, slot_map, code_map, in_rules)
-    for perms in _perm_blocks(n):
-        slot_map, code_map = _transform_tables(perms, n)
-        if _beats_input(codes_arr, slot_map, code_map, in_rules):
-            return False
-    return True
-
-
-_PARTIAL_CACHE = {}
-
-
-def _partial_tables(n: int, rules: tuple[int, ...]):
-    """Per-(n, rules) screens for the full-support partial test.
-
-    prefix_ok[g, k-1]: g keeps the first k slots among themselves (rule c).
-    suffix_ok[g, k]: every allowed condition on every slot >= k maps into
-    the rules under g (rule b).  Both depend only on n, the rules and k,
-    so they are computed once and indexed per node.
+    Returns (source, code_map, candidates, in_rules).  source[g, s] is the
+    slot that g carries onto slot s.  candidates[k] lists the rows that
+    satisfy rules (b) and (c) for a prefix of k slots and move some
+    alternative of its support; a row fixing the support yields the prefix
+    itself, which is never greater.
     """
-    key = (n, rules)
-    if key not in _PARTIAL_CACHE:
-        slot_map, code_map = _tables_for(n)
-        slots = slot_map.shape[1]
+    key = (n, tuple(sorted(set(rules))))
+    if key not in _ACTING_CACHE:
+        perms = np.array(acting_set(*key), dtype=np.int8)
+        slot_map, code_map = _transform_tables(perms, n)
+        count, slots = slot_map.shape
+        source = np.empty_like(slot_map)
+        np.put_along_axis(source, slot_map, np.arange(slots)[None, :], axis=1)
         in_rules = np.zeros(7, dtype=bool)
-        in_rules[list(rules)] = True
-        prefix_ok = np.maximum.accumulate(slot_map, axis=1) < np.arange(1, slots + 1)
-        rb = in_rules[code_map[..., list(rules)]].all(axis=-1)
-        suffix_ok = np.ones((rb.shape[0], slots + 1), dtype=bool)
-        suffix_ok[:, :-1] = np.logical_and.accumulate(rb[:, ::-1], axis=1)[:, ::-1]
-        _PARTIAL_CACHE[key] = (slot_map, code_map, prefix_ok, suffix_ok, in_rules)
-    return _PARTIAL_CACHE[key]
+        in_rules[list(key[1])] = True
+        keeps_prefix = np.maximum.accumulate(slot_map, axis=1) < np.arange(1, slots + 1)
+        rules_stay = in_rules[code_map[..., list(key[1])]].all(axis=-1)
+        keeps_suffix = np.ones((count, slots + 1), dtype=bool)
+        keeps_suffix[:, :-1] = np.logical_and.accumulate(rules_stay[:, ::-1], axis=1)[:, ::-1]
+        fixes = np.logical_and.accumulate(perms == np.arange(1, n + 1), axis=1)
+        candidates = [np.empty(0, dtype=np.intp)]
+        for k in range(1, slots + 1):
+            m = core.triple_at(k - 1, n)[2]
+            rows = keeps_prefix[:, k - 1] & keeps_suffix[:, k] & ~fixes[:, m - 1]
+            candidates.append(np.flatnonzero(rows))
+        _ACTING_CACHE[key] = (source, code_map, candidates, in_rules)
+    return _ACTING_CACHE[key]
 
 
-def _partial_vectorized(assignment: Assignment, rules: tuple[int, ...], k: int) -> bool:
-    """Full-support partial test over precomputed permutation tables."""
-    slot_map, code_map, prefix_ok, suffix_ok, in_rules = _partial_tables(assignment.n, rules)
-    cand = np.flatnonzero(prefix_ok[:, k - 1] & suffix_ok[:, k])
-    if cand.size == 0:
-        return True
-    codes_arr = np.frombuffer(assignment.codes, dtype=np.uint8)[:k].astype(np.int64)
-    img = code_map[cand[:, None], np.arange(k)[None, :], codes_arr[None, :]]
-    valid = in_rules[img].all(axis=1)
-    if not valid.any():
-        return True
-    img = img[valid]
-    sub = slot_map[cand[valid]][:, :k]
-    trans = np.zeros_like(img)
-    rows = np.repeat(np.arange(img.shape[0]), k)
-    trans[rows, sub.ravel()] = img.ravel()
-    neq = trans != codes_arr
-    any_neq = neq.any(axis=1)
-    first = neq.argmax(axis=1)
-    greater = trans[np.arange(trans.shape[0]), first] > codes_arr[first]
-    return not bool((any_neq & greater).any())
+def _dominated(codes: bytes, k: int, tables) -> bool:
+    """True when a candidate relabeling maps the k-slot prefix into the
+    rules and onto a lexicographically greater prefix."""
+    source, code_map, candidates, in_rules = tables
+    rows = candidates[k]
+    if rows.size == 0:
+        return False
+    prefix = np.frombuffer(codes, dtype=np.uint8, count=k)
+    src = source[rows, :k]
+    image = code_map[rows[:, None], src, prefix[src]]
+    image = image[in_rules[image].all(axis=1)]
+    first = (image != prefix).argmax(axis=1)
+    return bool((image[np.arange(len(image)), first] > prefix[first]).any())

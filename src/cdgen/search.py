@@ -5,8 +5,10 @@ domain: the orders of 1..m (m = largest alternative seen so far) that
 satisfy every condition assigned yet, as a numpy matrix with one row per
 order and, alongside it, the pattern index of each row on every in-support
 slot.  When the slot index reaches C(m, 3) the support grows by one
-alternative; each row spawns m+1 rows by inserting the newcomer at every
-position, which leaves patterns on old slots untouched.
+alternative through :func:`cdgen.domain.extend_rows`, the same row
+extension that expands a finished assignment: each row spawns m+1 rows by
+inserting the newcomer at every position, which leaves patterns on old
+slots untouched.
 
 Pruning is threefold.  First, pattern-mask feasibility: a completed slot
 must retain all four patterns its condition allows and an unassigned
@@ -17,8 +19,10 @@ pass the exact canonicity gate, so emitted output is correct even if a
 pruning rule were too lax.  At a surviving leaf the carried matrix IS the
 expanded domain, which the hit exposes without a separate expansion.
 
-Practical ceiling is around n=12: beyond that the canonicity gate has to
-stream 12! permutation blocks per leaf and wall time dominates.
+Both canonicity tests run over the acting set of the rule set (see
+:mod:`cdgen.iso`), which is tiny for the standard rule pairs; rule sets
+whose acting set exceeds iso.ACTING_CAP relabelings (all six conditions,
+or 1N3,2N3, from n=9 on) are refused with ValueError.
 """
 
 from __future__ import annotations
@@ -31,13 +35,10 @@ from time import perf_counter
 import numpy as np
 
 from . import core
-from .domain import Domain, is_maximal
+from .domain import KEEP, Domain, extend_rows, root_rows
 from .iso import is_canonical_complete, is_partially_lex_max
 from .lexcode import Assignment
 
-EMIT_MODES = ("conditions-only", "expanded", "histogram")
-
-_RANK_LUT = np.array(core.RANKBITS_TO_PATTERN, dtype=np.uint8)
 _SHL = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
 
 
@@ -45,8 +46,6 @@ _SHL = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
 class SearchConfig:
     n: int
     rules: tuple[int, ...]
-    emit_mode: str = "conditions-only"
-    maximal_only: bool = False
     thread_count: int = 1
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class SearchConfig:
             if c not in core.ALL_CONDITIONS:
                 raise ValueError(f"invalid condition code {c}")
         object.__setattr__(self, "rules", rules)
-        if self.emit_mode not in EMIT_MODES:
-            raise ValueError(f"emit_mode must be one of {EMIT_MODES}")
         if self.thread_count < 1:
             raise ValueError("thread_count must be positive")
 
@@ -90,17 +87,12 @@ class _Engine:
         self.n = cfg.n
         self.rules = cfg.rules
         self.slots = comb(cfg.n, 3)
-        self.maximal_only = cfg.maximal_only
         self.stats = SearchStats()
         self.sink = None
         self.collect_at: int | None = None
         self.collected: list[bytes] = []
         self.codes = bytearray(self.slots)
         self.codes_np = np.zeros(self.slots, dtype=np.int64)
-        self.keep = {
-            c: np.array([bool(core.SAT_MASKS[c] >> p & 1) for p in range(6)])
-            for c in self.rules
-        }
         self.expect = np.zeros(7, dtype=np.uint8)
         for c in self.rules:
             self.expect[c] = core.SAT_MASKS[c]
@@ -112,40 +104,19 @@ class _Engine:
         )
 
     def root_state(self):
-        pd = np.array([[1, 2], [2, 1]], dtype=np.int8)
-        pat = np.zeros((2, 0), dtype=np.uint8)
-        return 0, 2, pd, pat
+        return (0, 2, *root_rows())
 
     def _extend(self, pd, pat, m):
         """Grow the support to m+1; False when a new slot is already dead."""
-        e = m + 1
-        rows = pd.shape[0]
-        pdn = np.empty((rows * e, e), dtype=np.int8)
-        for p in range(e):
-            pdn[p::e, :p] = pd[:, :p]
-            pdn[p::e, p] = e
-            pdn[p::e, p + 1 :] = pd[:, p:]
-        so, sn = comb(m, 3), comb(e, 3)
-        patn = np.empty((rows * e, sn), dtype=np.uint8)
-        patn[:, :so] = np.repeat(pat, e, axis=0)
-        pos = np.empty((rows * e, e), dtype=np.int8)
-        np.put_along_axis(
-            pos,
-            pdn.astype(np.int64) - 1,
-            np.broadcast_to(np.arange(e, dtype=np.int8), pdn.shape),
-            axis=1,
-        )
-        for s in range(so, sn):
-            a, b, c = core.triple_at(s, e)
-            pa, pb, pc = pos[:, a - 1], pos[:, b - 1], pos[:, c - 1]
-            patn[:, s] = _RANK_LUT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
-        ok = True
-        if sn > so:
-            bits = np.bitwise_or.reduce(_SHL[patn[:, so:]], axis=0)
-            ok = bool(self.cover[bits].all())
-        return pdn, patn, ok
+        pdn, patn = extend_rows(pd, pat, m)
+        bits = np.bitwise_or.reduce(_SHL[patn[:, comb(m, 3) :]], axis=0)
+        return pdn, patn, bool(self.cover[bits].all())
 
     def rec(self, k, m, pd, pat):
+        if k == self.collect_at:
+            # a scout hands this node to a worker, which counts it
+            self.collected.append(bytes(self.codes[:k]))
+            return
         self.stats.nodes_visited += 1
         while m < self.n and k == comb(m, 3):
             pd, pat, ok = self._extend(pd, pat, m)
@@ -153,15 +124,12 @@ class _Engine:
             if not ok:
                 self.stats.nodes_pruned += 1
                 return
-        if self.collect_at is not None and k == self.collect_at:
-            self.collected.append(bytes(self.codes[:k]))
-            return
         if k == self.slots:
             self._leaf(pd, pat)
             return
         col = pat[:, k]
         for code in self.rules:
-            sel = self.keep[code][col]
+            sel = KEEP[code][col]
             pat2 = pat[sel]
             bits = np.bitwise_or.reduce(_SHL[pat2], axis=0)
             self.codes_np[k] = code
@@ -188,9 +156,6 @@ class _Engine:
             self.stats.nodes_pruned += 1
             return
         dom = Domain(self.n, (tuple(map(int, row)) for row in pd), source=assignment)
-        if self.maximal_only and not is_maximal(dom):
-            self.stats.nodes_pruned += 1
-            return
         self.stats.leaves_emitted += 1
         self.sink(SearchHit(assignment, dom))
 
@@ -204,7 +169,7 @@ def _seed(engine: _Engine, prefix: bytes):
             m += 1
             if not ok:
                 return None
-        sel = engine.keep[code][pat[:, kk]]
+        sel = KEEP[code][pat[:, kk]]
         pd, pat = pd[sel], pat[sel]
         engine.codes[kk] = code
         engine.codes_np[kk] = code

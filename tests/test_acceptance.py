@@ -2,8 +2,8 @@
 
 Every comparison in this file is exact; there are no numeric tolerances.
 Run with `pytest -s tests/test_acceptance.py` (or `-rA`) to see the lines.
-Criterion 3 performs the full n=8 search for 1N3,2N1 and takes a few
-minutes.  The two multi-hour n=8 searches behind criterion 4 only run when
+Criterion 3 performs the full n=8 search for 1N3,2N1 and takes about
+half a minute.  The two long n=8 searches behind criterion 4 only run when
 CDGEN_EXTENDED=1 is set; their scaled-down n=6 variant always runs.
 """
 
@@ -105,7 +105,7 @@ def test_criterion_4_scaled_down_determinism_and_predicates():
            " ".join(details))
 
 
-@pytest.mark.skipif(not EXTENDED, reason="multi-hour n=8 runs; set CDGEN_EXTENDED=1")
+@pytest.mark.skipif(not EXTENDED, reason="long n=8 runs; set CDGEN_EXTENDED=1")
 def test_criterion_4_extended_n8_runs():
     sizes_a: Counter = Counter()
     generate(SearchConfig(n=8, rules=(3, 4)), lambda hit: sizes_a.update((len(hit.domain),)))

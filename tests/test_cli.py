@@ -111,6 +111,13 @@ def test_generate_rejects_bad_prefix(capsys):
     assert err.startswith("error:")
 
 
+def test_generate_refuses_huge_acting_set(capsys):
+    code, _, err = run_cli(capsys, "generate", "--n", "9", "--rules", "1N3,2N3")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "acting relabelings" in err
+
+
 def test_expand_command(tmp_path, capsys):
     conds = tmp_path / "n3.conds"
     run_cli(capsys, "generate", "--n", "3", "--rules", "2N3", "--out", str(conds))

@@ -139,6 +139,17 @@ def test_expand_matches_filter_sampled_n5():
         assert expand(a) == expand_filtered(a)
 
 
+def test_expand_matches_filter_sampled_n6_n7():
+    rng = random.Random(919)
+    for n, samples in [(6, 200), (7, 40)]:
+        for _ in range(samples):
+            rules = rng.choice([(3, 4), (2, 5), (2, 3), (1, 2, 3, 4, 5, 6)])
+            a = Assignment(n, bytes(rng.choice(rules) for _ in range(comb(n, 3))))
+            want = expand_filtered(a)
+            assert expand(a) == want
+            assert expand_size(a) == len(want)
+
+
 def test_is_maximal_guards():
     d = expand(Assignment.from_string("4", 3))
     with pytest.raises(ValueError):

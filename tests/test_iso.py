@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgen import core, iso
+from cdgen import core, iso, oracle
 from cdgen.lexcode import Assignment, GREATER, lex_compare
 
 ALL_SIX = (1, 2, 3, 4, 5, 6)
@@ -15,14 +15,6 @@ ALL_SIX = (1, 2, 3, 4, 5, 6)
 def compose(g, h):
     """g after h, both written as image tuples over the same ground set."""
     return tuple(g[h[x - 1] - 1] for x in range(1, len(h) + 1))
-
-
-def test_permutations_of_is_lexicographic():
-    perms = iso.permutations_of(3)
-    assert perms == [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
-    assert len(iso.permutations_of(5)) == 120
-    with pytest.raises(ValueError):
-        iso.permutations_of(10)
 
 
 def test_apply_alt_fixes_beyond_domain():
@@ -95,15 +87,25 @@ def test_transform_inverse_restores(codes, g):
     assert iso.transform(image, inv, (2, 3)) == a
 
 
+# Effect of swapping in-triple positions 1 and 2 on each condition code;
+# 0 marks a degenerate image.
+PAIR_FLIP = {1: 0, 2: 4, 3: 0, 4: 2, 5: 5, 6: 6}
+
+
 def test_flip_closure():
-    assert iso.flip_closed((2, 4))  # 1N3 and 2N3 swap under the flip
-    assert iso.flip_closed((5, 6))  # fixed points of the flip
-    # 1N2 and 2N1 flip onto degenerate conditions, so nothing containing
-    # them is flip-closed, the full rule set included
-    assert not iso.flip_closed(ALL_SIX)
-    assert not iso.flip_closed((3, 4))
-    assert not iso.flip_closed((2, 5))
-    assert not iso.flip_closed((2, 3))
+    """A relabeling of an open support flips positions 1 and 2 on some
+    triple with one member beyond it, so a rule set that is not closed
+    under that flip never prunes an open-support prefix."""
+    for rules in [(2, 4), (5, 6), ALL_SIX, (3, 4), (2, 5), (2, 3)]:
+        closed = all(PAIR_FLIP[c] in rules for c in rules)
+        # 1N2 and 2N1 flip onto degenerate conditions
+        assert closed == (rules in [(2, 4), (5, 6)])
+        if not closed:
+            for c in rules:
+                assert iso.is_partially_lex_max(Assignment(4, bytes([c, 0, 0, 0])), rules)
+    # 1N3 and 2N3 swap under the flip, so 1N3 on the first triple loses
+    assert not iso.is_partially_lex_max(Assignment.from_string("2000", 4), (2, 4))
+    assert iso.is_partially_lex_max(Assignment.from_string("4000", 4), (2, 4))
 
 
 def test_partial_test_validates_prefix_shape():
@@ -157,7 +159,7 @@ def test_exact_gate_is_idempotent_across_the_orbit():
     complete = [Assignment(n, bytes(c)) for c in product(rules, repeat=comb(n, 3))]
     for a in complete:
         images = {a}
-        for g in iso.permutations_of(n):
+        for g in permutations(range(1, n + 1)):
             img = iso.transform(a, g, rules)
             if img is not None:
                 images.add(img)
@@ -202,7 +204,7 @@ def test_transform_orbits_match_relabeled_domains():
     from cdgen import oracle
 
     n = 4
-    perms = iso.permutations_of(n)
+    perms = list(permutations(range(1, n + 1)))
     fours = [
         Assignment(n, bytes(combo))
         for combo in product(ALL_SIX, repeat=comb(n, 3))
@@ -239,7 +241,7 @@ def _reference_full_support_partial(assignment, rules, k):
     codes = assignment.codes
     triples = [core.triple_at(i, n) for i in range(comb(n, 3))]
     allowed = set(rules)
-    for g in iso.permutations_of(n):
+    for g in permutations(range(1, n + 1)):
         trans = bytearray(k)
         ok = True
         for i in range(k):
@@ -268,15 +270,15 @@ def test_full_support_partial_test_matches_reference():
 
     random.seed(202)
     n, slots = 6, comb(6, 3)
-    for rules in [(2, 3), (3, 4), ALL_SIX]:
+    for rules in [(2, 3), (3, 4), (2, 4), (5, 6), ALL_SIX]:
         for _ in range(60):
-            k = random.randint(comb(5, 3) + 1, slots - 1)
+            k = random.randint(1, slots - 1)
             codes = bytes([random.choice(rules) for _ in range(k)] + [0] * (slots - k))
             a = Assignment(n, codes)
             assert iso.is_partially_lex_max(a, rules) == _reference_full_support_partial(a, rules, k)
 
 
-def test_vectorized_exact_gate_matches_loop():
+def test_exact_gate_matches_oracle_canonical():
     import random
 
     random.seed(77)
@@ -284,4 +286,27 @@ def test_vectorized_exact_gate_matches_loop():
     for rules in [(2, 3), ALL_SIX]:
         for _ in range(80):
             a = Assignment(n, bytes(random.choice(rules) for _ in range(slots)))
-            assert iso._canonical_loop(a, rules) == iso._canonical_vectorized(a, rules)
+            canonical = oracle.orbit_of(a.codes, n, rules).canonical
+            assert iso.is_canonical_complete(a, rules) == (canonical == a)
+
+
+def test_acting_set_matches_brute_force():
+    """The acting set is every g that carries some complete assignment
+    into the rules."""
+    cases = [(n, rules) for n in (3, 4, 5) for rules in [(3, 4), (2, 5), (2, 3)]]
+    cases.append((4, ALL_SIX))
+    for n, rules in cases:
+        complete = [Assignment(n, bytes(c)) for c in product(rules, repeat=comb(n, 3))]
+        carried = [
+            g
+            for g in permutations(range(1, n + 1))
+            if any(iso.transform(a, g, rules) is not None for a in complete)
+        ]
+        assert iso.acting_set(n, rules) == carried
+
+
+def test_acting_set_sizes():
+    assert len(iso.acting_set(8, (3, 4))) == 2
+    assert len(iso.acting_set(8, (2, 5))) == 34
+    assert len(iso.acting_set(8, (2, 3))) == 8
+    assert len(iso.acting_set(8, ALL_SIX)) == iso.ACTING_CAP
