@@ -2,31 +2,30 @@
 
 Four subcommands share the conditions-file format (one code string per
 line under a header naming n, the rule set, the triple order and the code
-table).  Every file output gets a key=value manifest written beside it
-with a sha256 of the produced bytes, so long runs can be verified after
-the fact and partitioned runs can be stitched together with confidence.
+table).  Every file output is written as ``<name>.partial`` and renamed
+onto its name only after the command succeeded and its key=value
+manifest, ending in a sha256 of the produced bytes, was written beside
+it; so a file under its final name is complete, and long runs can be
+verified after the fact and partitioned runs stitched together.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import platform
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, core
 from .domain import expand, format_histogram, histogram, write_domain
 from .lexcode import header_line, read_assignments
 from .oracle import cross_check
 from .search import SearchConfig, generate, resume
-
-_FORMATS = {
-    "conditions": "conditions-only",
-    "orders": "expanded",
-    "histogram": "histogram",
-}
 
 _VALID_TOKENS = ", ".join(core.CONDITION_NAMES[c] for c in core.ALL_CONDITIONS)
 
@@ -38,113 +37,121 @@ def _rules_arg(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"{exc}; valid tokens: {_VALID_TOKENS}") from exc
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    n: int
-    rules: tuple[int, ...]
-    emit_mode: str
-    thread_count: int
-    engine_version: str
-    wall_time: float
-    leaves_emitted: int
-    nodes_visited: int
-    output_sha256: str
-    prefix: str = ""  # non-empty for partitioned (subtree-only) runs
-
-    def to_text(self) -> str:
-        lines = [
-            f"n={self.n}",
-            f"rules={core.rules_token(self.rules)}",
-            f"emit_mode={self.emit_mode}",
-            f"thread_count={self.thread_count}",
-            f"engine_version={self.engine_version}",
-            f"wall_time_s={self.wall_time:.3f}",
-            f"leaves_emitted={self.leaves_emitted}",
-            f"nodes_visited={self.nodes_visited}",
-            f"output_sha256={self.output_sha256}",
-        ]
-        if self.prefix:
-            lines.insert(2, f"prefix={self.prefix}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunManifest":
-        fields = dict(line.split("=", 1) for line in text.splitlines() if "=" in line)
-        return cls(
-            n=int(fields["n"]),
-            rules=core.parse_rules(fields["rules"]),
-            emit_mode=fields["emit_mode"],
-            thread_count=int(fields["thread_count"]),
-            engine_version=fields["engine_version"],
-            wall_time=float(fields["wall_time_s"]),
-            leaves_emitted=int(fields["leaves_emitted"]),
-            nodes_visited=int(fields["nodes_visited"]),
-            output_sha256=fields["output_sha256"],
-            prefix=fields.get("prefix", ""),
-        )
-
-    def verify(self, output_path: Path) -> bool:
-        return _sha256_of(output_path) == self.output_sha256
-
-
-def _sha256_of(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _partial(path: Path) -> Path:
+    return path.with_name(path.name + ".partial")
 
 
 def _manifest_path(out: Path) -> Path:
     return out.with_name(out.name + ".manifest")
 
 
-def _write_manifest(out: Path, cfg: SearchConfig, stats, emit_mode: str, prefix: str = "") -> None:
-    manifest = RunManifest(
-        n=cfg.n,
-        rules=cfg.rules,
-        emit_mode=emit_mode,
-        thread_count=cfg.thread_count,
-        engine_version=__version__,
-        wall_time=stats.wall_time,
-        leaves_emitted=stats.leaves_emitted,
-        nodes_visited=stats.nodes_visited,
-        output_sha256=_sha256_of(out),
-        prefix=prefix,
-    )
-    _manifest_path(out).write_text(manifest.to_text())
+def _manifest_text(fields: dict, output_sha256: str) -> str:
+    """The one manifest format: the command and its fields, the environment,
+    then ``output_sha256`` as the last line, so a manifest cut off shows it."""
+    lines = {
+        **fields,
+        "engine_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "output_sha256": output_sha256,
+    }
+    return "".join(f"{key}={value}\n" for key, value in lines.items())
+
+
+def read_manifest(path) -> dict[str, str]:
+    """A manifest's ``key=value`` lines; ValueError when it was cut off."""
+    fields = dict(line.split("=", 1) for line in Path(path).read_text().splitlines() if "=" in line)
+    if list(fields)[-1:] != ["output_sha256"]:
+        raise ValueError(f"manifest {path} is incomplete: its last line is not output_sha256")
+    return fields
+
+
+class _Output:
+    """The files one command writes, published together with their manifest.
+
+    ``open(path)`` writes ``<path>.partial``.  When the ``with`` block ends
+    normally, the partial files are hashed in the order they were opened,
+    the manifest is written from ``fields`` (to which the block may add its
+    counters), and each partial file is renamed onto its path.  When the
+    block raises, the partial files are deleted and whatever the final
+    paths held before stays as it was.
+    """
+
+    def __init__(self, manifest: Path, command: str, **fields):
+        self.manifest = manifest
+        self.fields = {"command": command, **fields}
+        self.paths: list[Path] = []
+
+    def open(self, path: Path):
+        self.paths.append(path)
+        return open(_partial(path), "w")
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._publish()
+        finally:
+            for path in self.paths:
+                _partial(path).unlink(missing_ok=True)
+
+    def _publish(self) -> None:
+        digest = hashlib.sha256()
+        for path in self.paths:
+            with open(_partial(path), "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+        self.manifest.write_text(_manifest_text(self.fields, digest.hexdigest()))
+        for path in dict.fromkeys(self.paths):  # a path opened twice is renamed once
+            os.replace(_partial(path), path)
+
+
+def _search(args, cfg: SearchConfig, fh):
+    """Run the search, writing its hits to ``fh`` in ``args.format``."""
+    sizes: Counter[int] = Counter()
+    if args.format == "conditions":
+        fh.write(header_line(cfg.n, cfg.rules) + "\n")
+
+    def sink(hit):
+        if args.format == "conditions":
+            fh.write(hit.code_string + "\n")
+            fh.flush()
+        elif args.format == "orders":
+            write_domain(fh, hit.domain)
+            fh.flush()
+        else:
+            sizes[len(hit.domain)] += 1
+
+    if args.prefix:
+        stats = resume(cfg, args.prefix, sink)
+    else:
+        stats = generate(cfg, sink)
+    if args.format == "histogram":
+        fh.write(format_histogram(dict(sizes)) + "\n")
+    return stats
 
 
 def _cmd_generate(args) -> int:
     cfg = SearchConfig(n=args.n, rules=args.rules, thread_count=args.threads)
-    out_path = Path(args.out) if args.out else None
-    fh = open(out_path, "w") if out_path else sys.stdout
-    sizes: Counter[int] = Counter()
-    try:
-        if args.format == "conditions":
-            fh.write(header_line(cfg.n, cfg.rules) + "\n")
-
-        def sink(hit):
-            if args.format == "conditions":
-                fh.write(hit.code_string + "\n")
-                fh.flush()
-            elif args.format == "orders":
-                write_domain(fh, hit.domain)
-                fh.flush()
-            else:
-                sizes[len(hit.domain)] += 1
-
-        if args.prefix:
-            stats = resume(cfg, args.prefix, sink)
-        else:
-            stats = generate(cfg, sink)
-        if args.format == "histogram":
-            fh.write(format_histogram(dict(sizes)) + "\n")
-    finally:
-        if out_path:
-            fh.close()
-    if out_path:
-        _write_manifest(out_path, cfg, stats, _FORMATS[args.format], prefix=args.prefix or "")
+    if args.out:
+        out = Path(args.out)
+        with _Output(
+            _manifest_path(out), "generate", n=cfg.n, rules=core.rules_token(cfg.rules),
+            prefix=args.prefix or "", format=args.format, thread_count=cfg.thread_count,
+        ) as output:
+            with output.open(out) as fh:
+                stats = _search(args, cfg, fh)
+            output.fields.update(
+                wall_time_s=f"{stats.wall_time:.3f}",
+                leaves_emitted=stats.leaves_emitted,
+                nodes_visited=stats.nodes_visited,
+                nodes_pruned=stats.nodes_pruned,
+            )
+    else:
+        stats = _search(args, cfg, sys.stdout)
     print(
         f"emitted {stats.leaves_emitted} classes "
         f"({stats.nodes_visited} nodes, {stats.nodes_pruned} pruned, "
@@ -159,19 +166,14 @@ def _cmd_expand(args) -> int:
         n, rules, assignments = read_assignments(fh)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = hashlib.sha256()
-    for a in assignments:
-        dom = expand(a)
-        path = out_dir / f"{a.encode()}.orders"
-        with open(path, "w") as fh:
-            write_domain(fh, dom)
-        digest.update(path.read_bytes())
-        print(path)
-    manifest = out_dir / "expand.manifest"
-    manifest.write_text(
-        f"n={n}\nrules={core.rules_token(rules)}\ndomains={len(assignments)}\n"
-        f"engine_version={__version__}\noutput_sha256={digest.hexdigest()}\n"
-    )
+    with _Output(
+        out_dir / "expand.manifest", "expand", n=n, rules=core.rules_token(rules), domains=len(assignments),
+    ) as output:
+        for a in assignments:
+            path = out_dir / f"{a.encode()}.orders"
+            with output.open(path) as fh:
+                write_domain(fh, expand(a))
+            print(path)
     return 0
 
 
@@ -195,12 +197,11 @@ def _cmd_stats(args) -> int:
     counts = histogram(assignments)
     text = format_histogram(counts) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        _manifest_path(Path(args.out)).write_text(
-            f"n={n}\nrules={core.rules_token(rules)}\nclasses={len(assignments)}\n"
-            f"engine_version={__version__}\noutput_sha256={digest}\n"
-        )
+        out = Path(args.out)
+        with _Output(
+            _manifest_path(out), "stats", n=n, rules=core.rules_token(rules), classes=len(assignments),
+        ) as output, output.open(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -223,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated conditions, e.g. 2N3,2N1 (valid: {_VALID_TOKENS})",
     )
     gen.add_argument("--out", help="output file (default: stdout)")
-    gen.add_argument("--format", choices=sorted(_FORMATS), default="conditions")
+    gen.add_argument("--format", choices=("conditions", "histogram", "orders"), default="conditions")
     gen.add_argument("--threads", type=int, default=1)
     gen.add_argument("--prefix", help="code-string prefix: search only that subtree")
 

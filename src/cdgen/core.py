@@ -163,7 +163,6 @@ def restrict(order, t) -> tuple[int, int, int]:
 # iNj exactly when its j-th entry is i, so it violates one (i, j) cell per
 # rank and satisfies 3 + (number of fixed points) of the six valid codes.
 ALL_PATTERNS = tuple(permutations((1, 2, 3)))
-PATTERN_INDEX = {p: k for k, p in enumerate(ALL_PATTERNS)}
 
 
 def pattern_satisfies(pattern, code: int) -> bool:

@@ -18,7 +18,6 @@ from . import core
 LESS, EQUAL, GREATER = -1, 0, 1
 
 _NUM_SLOTS = {}  # n -> C(n,3)
-_N_FOR_LEN = {}  # C(n,3) -> n
 
 
 def num_slots(n: int) -> int:
@@ -26,7 +25,6 @@ def num_slots(n: int) -> int:
         if n < 3:
             raise ValueError(f"need at least 3 alternatives, got n={n}")
         _NUM_SLOTS[n] = comb(n, 3)
-        _N_FOR_LEN[_NUM_SLOTS[n]] = n
     return _NUM_SLOTS[n]
 
 
@@ -106,9 +104,6 @@ class Assignment:
     @property
     def is_complete(self) -> bool:
         return 0 not in self.codes
-
-    def assigned_slots(self) -> list[int]:
-        return [k for k, c in enumerate(self.codes) if c]
 
     def is_colex_prefix(self) -> bool:
         """True iff the assigned slots are exactly 0..k-1 for some k."""

@@ -27,6 +27,7 @@ or 1N3,2N3, from n=9 on) are refused with ValueError.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import comb
@@ -51,13 +52,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("need at least 3 alternatives")
-        rules = tuple(sorted(set(self.rules)))
-        if not rules:
-            raise ValueError("rule set is empty")
-        for c in rules:
-            if c not in core.ALL_CONDITIONS:
-                raise ValueError(f"invalid condition code {c}")
-        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "rules", core.check_rules(self.rules))
         if self.thread_count < 1:
             raise ValueError("thread_count must be positive")
 
@@ -199,7 +194,8 @@ def _emit_payload(cfg: SearchConfig, payload, sink):
 
 def _generate_parallel(cfg: SearchConfig, sink) -> SearchStats:
     scout = _Engine(cfg)
-    target = 4 * cfg.thread_count
+    workers = min(cfg.thread_count, os.cpu_count() or 1)
+    target = 4 * workers
     depth = 1
     while True:
         scout.collect_at = depth
@@ -212,7 +208,7 @@ def _generate_parallel(cfg: SearchConfig, sink) -> SearchStats:
     stats = scout.stats
     worker_cfg = replace(cfg, thread_count=1)
     jobs = [(worker_cfg, prefix) for prefix in scout.collected]
-    with ProcessPoolExecutor(max_workers=cfg.thread_count) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for payload, (visited, pruned, emitted) in pool.map(_subtree_worker, jobs):
             _emit_payload(cfg, payload, sink)
             stats.nodes_visited += visited

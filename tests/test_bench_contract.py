@@ -1,0 +1,46 @@
+"""The benchmark's hook contract: every per-layer metric can be measured.
+
+``perfbench/tracer.py`` hooks cdgen callees by the names their callers
+look them up with.  A hook whose target was renamed or removed drops the
+metrics that depend on it from the benchmark's report, so this test runs
+one small command of each kind the benchmark workloads issue through the
+traced ``cli.main`` and checks that every per-layer metric is reported.
+"""
+
+import json
+import math
+from pathlib import Path
+
+from cdgen import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+# perfbench/run.py adds these itself, from untraced passes and its own checks
+ADDED_BY_RUNNER = {"trace.overhead_frac", "cli.bytes_out", "parallel.nodes_overcount"}
+
+
+def test_tracer_reports_every_per_layer_metric(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    conds, orders, hist, stats = (tmp_path / name for name in ("c", "o", "h", "s"))
+    commands = [
+        ["generate", "--n", "6", "--rules", "1N3,2N1", "--prefix", "3", "--out", str(conds)],
+        ["generate", "--n", "5", "--rules", "1N3,3N1", "--format", "orders", "--out", str(orders)],
+        ["stats", "--in", str(conds), "--out", str(stats)],
+        ["generate", "--n", "6", "--rules", "1N3,2N1", "--threads", "2", "--format", "histogram",
+         "--out", str(hist)],
+    ]
+    t = tracer.Tracer()
+    traced_main = t.wrap("cli.main", cli.main)
+    t.install()
+    try:
+        assert t.missing == set()
+        codes = [traced_main(argv) for argv in commands]
+    finally:
+        t.uninstall()
+    assert codes == [0, 0, 0, 0], capsys.readouterr().err
+
+    metrics = tracer.layer_metrics(t, 1, 1.0, 2)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} - ADDED_BY_RUNNER <= set(metrics)
+    assert all(math.isfinite(value) for value, _ in metrics.values())

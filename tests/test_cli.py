@@ -1,12 +1,12 @@
 """End-to-end runs of the cdgen command line."""
 
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
-from cdgen import cli
-from cdgen.cli import RunManifest, main
+from cdgen.cli import main, read_manifest
 from cdgen.domain import parse_histogram, read_domain
 from cdgen.lexcode import read_assignments
 
@@ -30,11 +30,11 @@ def test_generate_conditions_file(tmp_path, capsys):
     # rule tokens are normalized to code order in headers and manifests
     assert lines[0].startswith("# n=4 rules=2N1,2N3 order=colex codes=")
 
-    manifest = RunManifest.from_text((tmp_path / "n4.conds.manifest").read_text())
-    assert manifest.n == 4
-    assert manifest.rules == (3, 4)
-    assert manifest.leaves_emitted == 5
-    assert manifest.verify(out)
+    manifest = read_manifest(tmp_path / "n4.conds.manifest")
+    assert manifest["n"] == "4"
+    assert manifest["rules"] == "2N1,2N3"
+    assert manifest["leaves_emitted"] == "5"
+    assert manifest["output_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_generate_to_stdout(capsys):
@@ -89,8 +89,7 @@ def test_generate_prefix_partition_matches_full(tmp_path, capsys):
             "--prefix", prefix, "--out", str(part),
         )
         assert code == 0
-        manifest = RunManifest.from_text(Path(str(part) + ".manifest").read_text())
-        assert manifest.prefix == prefix
+        assert read_manifest(tmp_path / f"part{prefix}.conds.manifest")["prefix"] == prefix
         pieces.extend(part.read_text().splitlines()[1:])
     assert pieces == full.read_text().splitlines()[1:]
 
@@ -170,19 +169,71 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_manifest_text_round_trip():
-    m = RunManifest(
-        n=6, rules=(2, 5), emit_mode="conditions-only", thread_count=2,
-        engine_version="0.1.0", wall_time=1.25, leaves_emitted=93,
-        nodes_visited=1234, output_sha256="ab" * 32,
-    )
-    assert RunManifest.from_text(m.to_text()) == m
+ENVIRONMENT_KEYS = ["engine_version", "python", "numpy", "cpu_count"]
 
 
-def test_manifest_verify_detects_tampering(tmp_path, capsys):
+def test_manifests_share_one_format(tmp_path, capsys):
+    conds = tmp_path / "n4.conds"
+    hist = tmp_path / "n4.hist"
+    out_dir = tmp_path / "domains"
+    run_cli(capsys, "generate", "--n", "4", "--rules", "2N3,2N1", "--prefix", "4", "--out", str(conds))
+    run_cli(capsys, "stats", "--in", str(conds), "--out", str(hist))
+    code, outtext, _ = run_cli(capsys, "expand", "--in", str(conds), "--out-dir", str(out_dir))
+    assert code == 0
+    orders = outtext.splitlines()  # the order files, in input order
+    assert len(orders) == 4
+    manifests = {
+        "generate": (read_manifest(tmp_path / "n4.conds.manifest"), conds.read_bytes()),
+        "stats": (read_manifest(tmp_path / "n4.hist.manifest"), hist.read_bytes()),
+        "expand": (
+            read_manifest(out_dir / "expand.manifest"),
+            b"".join(Path(path).read_bytes() for path in orders),
+        ),
+    }
+    own_keys = {
+        "generate": ["prefix", "format", "thread_count", "wall_time_s", "leaves_emitted",
+                     "nodes_visited", "nodes_pruned"],
+        "stats": ["classes"],
+        "expand": ["domains"],
+    }
+    for command, (manifest, data) in manifests.items():
+        assert list(manifest) == ["command", "n", "rules", *own_keys[command], *ENVIRONMENT_KEYS,
+                                  "output_sha256"]
+        assert manifest["command"] == command
+        assert (manifest["n"], manifest["rules"]) == ("4", "2N1,2N3")
+        assert manifest["output_sha256"] == hashlib.sha256(data).hexdigest()
+    environments = [[m[key] for key in ENVIRONMENT_KEYS] for m, _ in manifests.values()]
+    assert environments[0] == environments[1] == environments[2]
+    generated = manifests["generate"][0]
+    assert (generated["prefix"], generated["format"], generated["leaves_emitted"]) == ("4", "conditions", "4")
+    assert manifests["stats"][0]["classes"] == manifests["expand"][0]["domains"] == "4"
+    assert not list(tmp_path.rglob("*.partial"))
+
+
+def test_read_manifest_rejects_a_cut_off_manifest(tmp_path, capsys):
     out = tmp_path / "n4.conds"
     run_cli(capsys, "generate", "--n", "4", "--rules", "2N3,2N1", "--out", str(out))
-    manifest = RunManifest.from_text((tmp_path / "n4.conds.manifest").read_text())
-    assert manifest.verify(out)
-    out.write_text(out.read_text() + "3434\n")
-    assert not manifest.verify(out)
+    manifest = tmp_path / "n4.conds.manifest"
+    text = manifest.read_text()
+    assert text.endswith("\n") and text.splitlines()[-1].startswith("output_sha256=")
+    manifest.write_text(text[: text.index("output_sha256=")])
+    with pytest.raises(ValueError, match="incomplete"):
+        read_manifest(manifest)
+
+
+def test_failed_generate_leaves_no_output(tmp_path, capsys):
+    """A refused run publishes nothing and keeps an earlier run's output."""
+    out = tmp_path / "x"
+    argv = ["generate", "--n", "9", "--rules", "1N3,2N3", "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert sorted(tmp_path.iterdir()) == []
+
+    run_cli(capsys, "generate", "--n", "4", "--rules", "2N3,2N1", "--out", str(out))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == ["x", "x.manifest"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from cdgen import domain, iso
+from cdgen import domain, iso, search
 from cdgen.lexcode import Assignment
 from cdgen.search import SearchConfig, SearchStats, generate, resume, run_search
 
@@ -155,6 +155,38 @@ def test_parallel_run_matches_serial():
     # the scout does not count the nodes it hands to the workers
     assert s_stats.nodes_visited == p_stats.nodes_visited
     assert s_stats.nodes_pruned == p_stats.nodes_pruned
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    """--threads above the CPU count starts no more workers than there are CPUs.
+
+    The pool is replaced by an in-process stand-in, so no process starts.
+    """
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    serial, s_stats = run_search(SearchConfig(n=5, rules=(2, 3)))
+    capped, c_stats = run_search(SearchConfig(n=5, rules=(2, 3), thread_count=64))
+    assert sizes == [2]
+    assert codes_of(capped) == codes_of(serial)
+    assert [h.domain.orders for h in capped] == [h.domain.orders for h in serial]
+    assert (c_stats.nodes_visited, c_stats.nodes_pruned, c_stats.leaves_emitted) == (
+        s_stats.nodes_visited, s_stats.nodes_pruned, s_stats.leaves_emitted,
+    )
 
 
 def test_pairwise_non_isomorphic():
