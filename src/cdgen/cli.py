@@ -123,7 +123,7 @@ def _search(args, cfg: SearchConfig, fh):
             write_domain(fh, hit.domain)
             fh.flush()
         else:
-            sizes[len(hit.domain)] += 1
+            sizes[len(hit.rows)] += 1
 
     if args.prefix:
         stats = resume(cfg, args.prefix, sink)

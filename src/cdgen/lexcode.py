@@ -175,6 +175,7 @@ def write_assignments(fh, n: int, rules: tuple[int, ...], assignments: Iterable[
 def read_assignments(fh) -> tuple[int, tuple[int, ...], list[Assignment]]:
     header = fh.readline().rstrip("\n")
     n, rules = parse_header(header)
+    allowed = set("0" + "".join(map(str, rules)))
     out = []
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
@@ -182,5 +183,8 @@ def read_assignments(fh) -> tuple[int, tuple[int, ...], list[Assignment]]:
             continue
         if len(line) != num_slots(n):
             raise ValueError(f"line {lineno}: expected {num_slots(n)} digits, got {len(line)}")
+        if outside := set(line) - allowed:
+            token = core.rules_token(rules)
+            raise ValueError(f"line {lineno}: {line} has code {min(outside)} outside rules={token}")
         out.append(Assignment.from_string(line, n))
     return n, rules, out

@@ -10,14 +10,14 @@ extension that expands a finished assignment: each row spawns m+1 rows by
 inserting the newcomer at every position, which leaves patterns on old
 slots untouched.
 
-Pruning is threefold.  First, pattern-mask feasibility: a completed slot
+Pruning is twofold.  First, pattern-mask feasibility: a completed slot
 must retain all four patterns its condition allows and an unassigned
 in-support slot must still cover some rule's four-pattern set, otherwise
 no completion expands to a domain with four patterns on every triple.
-Second, the partial lex-max screen from the iso module.  Third, leaves
-pass the exact canonicity gate, so emitted output is correct even if a
-pruning rule were too lax.  At a surviving leaf the carried matrix IS the
-expanded domain, which the hit exposes without a separate expansion.
+Second, canonicity from the iso module: the partial lex-max screen on a
+child that leaves slots open, and on the child that fills the last slot
+the exact gate, so each leaf is decided once.  At a surviving leaf the
+carried matrix IS the expanded domain; the hit holds those int8 rows.
 
 Both canonicity tests run over the acting set of the rule set (see
 :mod:`cdgen.iso`), which is tiny for the standard rule pairs; rule sets
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import comb
 from time import perf_counter
 
@@ -67,12 +68,18 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchHit:
+    """A canonical assignment and its orders as int8 rows; equal by assignment."""
+
     assignment: Assignment
-    domain: Domain
+    rows: np.ndarray = field(compare=False)
 
     @property
     def code_string(self) -> str:
         return self.assignment.encode()
+
+    @cached_property
+    def domain(self) -> Domain:
+        return Domain(self.assignment.n, self.rows.tolist(), source=self.assignment)
 
 
 class _Engine:
@@ -86,8 +93,7 @@ class _Engine:
         self.sink = None
         self.collect_at: int | None = None
         self.collected: list[bytes] = []
-        self.codes = bytearray(self.slots)
-        self.codes_np = np.zeros(self.slots, dtype=np.int64)
+        self.codes = np.zeros(self.slots, dtype=np.uint8)
         self.expect = np.zeros(7, dtype=np.uint8)
         for c in self.rules:
             self.expect[c] = core.SAT_MASKS[c]
@@ -101,6 +107,14 @@ class _Engine:
     def root_state(self):
         return (0, 2, *root_rows())
 
+    def run(self, prefix: bytes, sink) -> SearchStats:
+        """Search the subtree under a code prefix, calling sink once per hit."""
+        self.sink = sink
+        state = _seed(self, prefix)
+        if state is not None:
+            self.rec(*state)
+        return self.stats
+
     def _extend(self, pd, pat, m):
         """Grow the support to m+1; False when a new slot is already dead."""
         pdn, patn = extend_rows(pd, pat, m)
@@ -110,7 +124,7 @@ class _Engine:
     def rec(self, k, m, pd, pat):
         if k == self.collect_at:
             # a scout hands this node to a worker, which counts it
-            self.collected.append(bytes(self.codes[:k]))
+            self.collected.append(self.codes[:k].tobytes())
             return
         self.stats.nodes_visited += 1
         while m < self.n and k == comb(m, 3):
@@ -127,32 +141,26 @@ class _Engine:
             sel = KEEP[code][col]
             pat2 = pat[sel]
             bits = np.bitwise_or.reduce(_SHL[pat2], axis=0)
-            self.codes_np[k] = code
-            expected = self.expect[self.codes_np[: k + 1]]
+            self.codes[k] = code
+            expected = self.expect[self.codes[: k + 1]]
             if not np.array_equal(bits[: k + 1], expected) or not self.cover[bits[k + 1 :]].all():
                 self.stats.nodes_pruned += 1
                 continue
-            self.codes[k] = code
-            partial = Assignment(self.n, bytes(self.codes))
-            if not is_partially_lex_max(partial, self.rules):
+            screen = is_canonical_complete if k + 1 == self.slots else is_partially_lex_max
+            if not screen(Assignment(self.n, self.codes.tobytes()), self.rules):
                 self.stats.nodes_pruned += 1
                 continue
             self.rec(k + 1, m, pd[sel], pat2)
         self.codes[k] = 0
-        self.codes_np[k] = 0
 
     def _leaf(self, pd, pat):
+        # the exact gate has run: in rec's last child, or in resume on a complete prefix
         bits = np.bitwise_or.reduce(_SHL[pat], axis=0)
-        if not np.array_equal(bits, self.expect[self.codes_np]):
+        if not np.array_equal(bits, self.expect[self.codes]):
             self.stats.nodes_pruned += 1
             return
-        assignment = Assignment(self.n, bytes(self.codes))
-        if not is_canonical_complete(assignment, self.rules):
-            self.stats.nodes_pruned += 1
-            return
-        dom = Domain(self.n, (tuple(map(int, row)) for row in pd), source=assignment)
         self.stats.leaves_emitted += 1
-        self.sink(SearchHit(assignment, dom))
+        self.sink(SearchHit(Assignment(self.n, self.codes.tobytes()), pd))
 
 
 def _seed(engine: _Engine, prefix: bytes):
@@ -167,29 +175,19 @@ def _seed(engine: _Engine, prefix: bytes):
         sel = KEEP[code][pat[:, kk]]
         pd, pat = pd[sel], pat[sel]
         engine.codes[kk] = code
-        engine.codes_np[kk] = code
     return len(prefix), m, pd, pat
 
 
 def _subtree_worker(job):
     cfg, prefix = job
-    engine = _Engine(cfg)
     payload = []
-    engine.sink = lambda hit: payload.append(
-        (hit.code_string, np.array(hit.domain.orders, dtype=np.int8))
-    )
-    state = _seed(engine, prefix)
-    if state is not None:
-        engine.rec(*state)
-    s = engine.stats
+    s = _Engine(cfg).run(prefix, payload.append)
     return payload, (s.nodes_visited, s.nodes_pruned, s.leaves_emitted)
 
 
-def _emit_payload(cfg: SearchConfig, payload, sink):
-    for code_string, orders in payload:
-        assignment = Assignment.from_string(code_string, cfg.n)
-        dom = Domain(cfg.n, (tuple(map(int, row)) for row in orders), source=assignment)
-        sink(SearchHit(assignment, dom))
+def _emit_payload(payload, sink):
+    for hit in payload:
+        sink(hit)
 
 
 def _generate_parallel(cfg: SearchConfig, sink) -> SearchStats:
@@ -210,7 +208,7 @@ def _generate_parallel(cfg: SearchConfig, sink) -> SearchStats:
     jobs = [(worker_cfg, prefix) for prefix in scout.collected]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for payload, (visited, pruned, emitted) in pool.map(_subtree_worker, jobs):
-            _emit_payload(cfg, payload, sink)
+            _emit_payload(payload, sink)
             stats.nodes_visited += visited
             stats.nodes_pruned += pruned
             stats.leaves_emitted += emitted
@@ -226,10 +224,7 @@ def generate(cfg: SearchConfig, sink) -> SearchStats:
     """
     start = perf_counter()
     if cfg.thread_count == 1:
-        engine = _Engine(cfg)
-        engine.sink = sink
-        engine.rec(*engine.root_state())
-        stats = engine.stats
+        stats = _Engine(cfg).run(b"", sink)
     else:
         stats = _generate_parallel(cfg, sink)
     stats.wall_time = perf_counter() - start
@@ -253,6 +248,8 @@ def resume(cfg: SearchConfig, prefix, sink) -> SearchStats:
             raise ValueError("prefix assignment must fill a co-lex prefix of the slots")
         codes = bytes(prefix.codes[: prefix.assigned_count])
     elif isinstance(prefix, str):
+        if not set(prefix.strip()) <= set("0123456789"):
+            raise ValueError(f"prefix {prefix!r} must be a string of condition digits")
         codes = bytes(int(ch) for ch in prefix.strip())
     else:
         codes = bytes(prefix)
@@ -261,19 +258,14 @@ def resume(cfg: SearchConfig, prefix, sink) -> SearchStats:
         raise ValueError(f"prefix has {len(codes)} codes but n={cfg.n} has {slots} slots")
     for c in codes:
         if c not in cfg.rules:
-            raise ValueError(f"prefix code {c} is outside the rule set {cfg.rules}")
+            raise ValueError(f"prefix code {c} is outside the rule set {core.rules_token(cfg.rules)}")
     for depth in range(1, len(codes) + 1):
         partial = Assignment(cfg.n, codes[:depth] + bytes(slots - depth))
         if not is_partially_lex_max(partial, cfg.rules):
             raise ValueError(
                 f"prefix {partial.encode()[:depth]} fails the partial lex-max test at depth {depth}"
             )
-    engine = _Engine(cfg)
-    engine.sink = sink
-    state = _seed(engine, codes)
-    if state is not None:
-        engine.rec(*state)
-    stats = engine.stats
+    stats = _Engine(cfg).run(codes, sink)
     stats.wall_time = perf_counter() - start
     return stats
 

@@ -5,6 +5,8 @@ look them up with.  A hook whose target was renamed or removed drops the
 metrics that depend on it from the benchmark's report, so this test runs
 one small command of each kind the benchmark workloads issue through the
 traced ``cli.main`` and checks that every per-layer metric is reported.
+A hook that is installed but never called reads 0, so the test also
+checks that the hooks the metrics rest on were called.
 """
 
 import json
@@ -39,6 +41,10 @@ def test_tracer_reports_every_per_layer_metric(tmp_path, monkeypatch, capsys):
     finally:
         t.uninstall()
     assert codes == [0, 0, 0, 0], capsys.readouterr().err
+    calls = t.calls + t.remote_calls
+    called = ["iso.partial", "iso.gate", "search.extend", "domain.materialize",
+              "lexcode.read", "domain.histogram", "parallel.merge"]
+    assert [kind for kind in called if not calls[kind]] == []
 
     metrics = tracer.layer_metrics(t, 1, 1.0, 2)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]

@@ -8,7 +8,7 @@ import pytest
 
 from cdgen.cli import main, read_manifest
 from cdgen.domain import parse_histogram, read_domain
-from cdgen.lexcode import read_assignments
+from cdgen.lexcode import header_line, read_assignments
 
 
 def run_cli(capsys, *argv):
@@ -154,7 +154,15 @@ def test_stats_rejects_incomplete(tmp_path, capsys):
     )
     code, _, err = run_cli(capsys, "stats", "--in", str(bad))
     assert code == 1
-    assert "error:" in err
+    assert "error: incomplete assignment 4400" in err
+
+
+def test_stats_rejects_codes_outside_the_header_rules(tmp_path, capsys):
+    bad = tmp_path / "bad.conds"
+    bad.write_text(header_line(5, (3, 4)) + "\n1111111111\n")
+    code, out, err = run_cli(capsys, "stats", "--in", str(bad))
+    assert (code, out) == (1, "")
+    assert "line 2: 1111111111 has code 1 outside rules=2N1,2N3" in err
 
 
 def test_check_command(capsys):

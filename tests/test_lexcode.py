@@ -154,5 +154,15 @@ def test_read_assignments_rejects_wrong_length_line():
         read_assignments(buf)
 
 
+def test_read_assignments_rejects_codes_outside_the_rules():
+    for line, code in [("1111111111", "1"), ("3333333339", "9"), ("33333333x3", "x")]:
+        buf = io.StringIO(header_line(5, (3, 4)) + "\n3333333333\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"line 3: {line} has code {code} outside rules=2N1,2N3"):
+            read_assignments(buf)
+    # unassigned slots still read: each command decides what an open slot means
+    buf = io.StringIO(header_line(5, (3, 4)) + "\n4433000000\n")
+    assert read_assignments(buf)[2] == [Assignment.from_string("4433000000", 5)]
+
+
 def test_num_slots():
     assert [num_slots(n) for n in (3, 4, 5, 6)] == [1, 4, 10, 20]

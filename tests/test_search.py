@@ -1,5 +1,6 @@
 """The orderly search engine: determinism, partitioning, and correctness."""
 
+import pickle
 from itertools import permutations
 
 import pytest
@@ -109,6 +110,28 @@ def test_resume_rejects_bad_prefixes():
     # its own relabelings, and a full run would never enter that subtree
     with pytest.raises(ValueError):
         resume(SearchConfig(n=4, rules=ALL_SIX), "1111", lambda h: None)
+    for text in ("4x", "4 4"):
+        with pytest.raises(ValueError, match=f"prefix '{text}' must be a string of condition digits"):
+            resume(cfg, text, lambda h: None)
+    with pytest.raises(ValueError, match="prefix code 9 is outside the rule set 2N1,2N3"):
+        resume(cfg, "49", lambda h: None)
+
+
+def test_resume_on_a_complete_prefix():
+    """A complete prefix reaches the leaf without rec's per-child checks, so
+    the leaf's own pattern check decides whether its domain exists."""
+    cfg = SearchConfig(n=5, rules=(3, 4))
+    full, _ = run_search(cfg)
+    assert len(full) == 36
+    for hit in full:
+        got, _ = run_search(cfg, prefix=hit.code_string)
+        assert codes_of(got) == [hit.code_string]
+        assert got[0].domain == hit.domain
+    # not dominated, but no domain has four patterns on every triple
+    out = []
+    stats = resume(cfg, "3333343333", out.append)
+    assert out == []
+    assert (stats.nodes_visited, stats.nodes_pruned) == (1, 1)
 
 
 def test_resume_on_undominated_low_prefix():
@@ -157,11 +180,10 @@ def test_parallel_run_matches_serial():
     assert s_stats.nodes_pruned == p_stats.nodes_pruned
 
 
-def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
-    """--threads above the CPU count starts no more workers than there are CPUs.
-
-    The pool is replaced by an in-process stand-in, so no process starts.
-    """
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """An in-process stand-in for the worker pool on a 2-CPU machine, so no
+    process starts; returns the max_workers of every pool made."""
     sizes = []
 
     class InProcessPool:
@@ -179,14 +201,62 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    return sizes
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(in_process_pool):
+    """--threads above the CPU count starts no more workers than there are CPUs."""
     serial, s_stats = run_search(SearchConfig(n=5, rules=(2, 3)))
     capped, c_stats = run_search(SearchConfig(n=5, rules=(2, 3), thread_count=64))
-    assert sizes == [2]
+    assert in_process_pool == [2]
     assert codes_of(capped) == codes_of(serial)
     assert [h.domain.orders for h in capped] == [h.domain.orders for h in serial]
     assert (c_stats.nodes_visited, c_stats.nodes_pruned, c_stats.leaves_emitted) == (
         s_stats.nodes_visited, s_stats.nodes_pruned, s_stats.leaves_emitted,
     )
+
+
+def test_hits_build_a_domain_only_when_it_is_read(monkeypatch, in_process_pool):
+    built = []
+    init = domain.Domain.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(domain.Domain, "__init__", counting_init)
+    for threads in (1, 2):
+        seen = []
+        cfg = SearchConfig(n=5, rules=(2, 3), thread_count=threads)
+        generate(cfg, lambda hit: seen.append((hit.code_string, len(hit.rows))))
+        assert len(seen) == 19
+    assert in_process_pool == [2]
+    assert built == []
+    hits, _ = run_search(SearchConfig(n=5, rules=(2, 3)))
+    assert all(h.domain is h.domain and len(h.domain) == len(h.rows) for h in hits)
+    assert len(built) == len(hits)
+
+
+def test_hits_compare_and_hash_by_assignment():
+    cfg = SearchConfig(n=5, rules=(3, 4))
+    first, _ = run_search(cfg)
+    second, _ = run_search(cfg)
+    assert first == second
+    assert [hash(h) for h in first] == [hash(h) for h in second]
+    assert all(a.rows is not b.rows for a, b in zip(first, second))
+    assert len(set(first) | set(second)) == len(first)
+
+
+def test_hits_survive_pickling():
+    hits, _ = run_search(SearchConfig(n=5, rules=(2, 5)))
+    for i, hit in enumerate(hits):
+        if i % 2:
+            hit.domain  # a hit whose domain was read pickles it too
+        back = pickle.loads(pickle.dumps(hit))
+        assert back == hit
+        assert back.code_string == hit.code_string
+        assert back.domain == hit.domain
+        assert back.domain.source == hit.assignment
 
 
 def test_pairwise_non_isomorphic():
