@@ -136,6 +136,8 @@ def _search(args, cfg: SearchConfig, fh):
 
 def _cmd_generate(args) -> int:
     cfg = SearchConfig(n=args.n, rules=args.rules, thread_count=args.threads)
+    if args.prefix and cfg.thread_count > 1:
+        raise ValueError("--prefix searches one subtree serially; drop --threads or set --threads 1")
     if args.out:
         out = Path(args.out)
         with _Output(

@@ -7,6 +7,12 @@ the same row extension the search engine carries: ``extend_rows`` inserts
 alternative m+1 at every position of every order and records the pattern
 of each new triple, and each slot's condition then filters the rows, so an
 order that an earlier slot rules out is never extended.
+
+Patterns are kept as pattern bits: entry [r, k] of the pattern matrix is
+``1 << p`` for the index p (into core.ALL_PATTERNS) of row r's pattern on
+slot k, and 0 while slot k lies outside the support.  The matrix is
+C(n,3) columns padded to a multiple of 8, so ``pattern_sets`` ORs a row
+set's columns together eight at a time as uint64 words.
 """
 
 from __future__ import annotations
@@ -19,24 +25,29 @@ import numpy as np
 from . import core
 from .lexcode import Assignment, num_slots
 
-_RANK_LUT = np.array(core.RANKBITS_TO_PATTERN, dtype=np.uint8)
+# 1 << pattern index, keyed like core.RANKBITS_TO_PATTERN; cyclic keys give 0.
+_RANK_BIT = np.array([0 if p == 255 else 1 << p for p in core.RANKBITS_TO_PATTERN], dtype=np.uint8)
 
-# KEEP[c, p]: pattern index p (into core.ALL_PATTERNS) satisfies condition
-# code c.  Row 0, the unassigned code, keeps nothing.
-KEEP = np.array(
-    [[c in core.SAT_MASKS and bool(core.SAT_MASKS[c] >> p & 1) for p in range(6)] for c in range(7)]
-)
+# SAT[c]: the pattern bits condition code c allows.  SAT[0], the unassigned
+# code, allows nothing.
+SAT = np.array([core.SAT_MASKS.get(c, 0) for c in range(7)], dtype=np.uint8)
 
 
-def root_rows():
-    """The orders of 1..2 and their pattern columns (none yet)."""
-    return np.array([[1, 2], [2, 1]], dtype=np.int8), np.zeros((2, 0), dtype=np.uint8)
+def root_rows(n):
+    """The orders of 1..2 and their pattern bits for n alternatives (none live yet)."""
+    width = -(-comb(n, 3) // 8) * 8
+    return np.array([[1, 2], [2, 1]], dtype=np.int8), np.zeros((2, width), dtype=np.uint8)
+
+
+def pattern_sets(pat):
+    """The OR of every row's pattern bits: the patterns each slot still shows."""
+    return np.bitwise_or.reduce(pat.view(np.uint64), axis=0).view(np.uint8)
 
 
 def extend_rows(pd, pat, m):
     """Insert alternative m+1 at every position of every order of 1..m.
 
-    pd holds one order per row and pat the pattern index of each row on
+    pd holds one order per row and pat the pattern bits of each row on
     every triple over 1..m.  Returns both for 1..m+1: an insertion leaves
     the old patterns alone, so only the columns of the new triples are
     computed.
@@ -48,9 +59,7 @@ def extend_rows(pd, pat, m):
         pdn[p::e, :p] = pd[:, :p]
         pdn[p::e, p] = e
         pdn[p::e, p + 1 :] = pd[:, p:]
-    so, sn = comb(m, 3), comb(e, 3)
-    patn = np.empty((rows * e, sn), dtype=np.uint8)
-    patn[:, :so] = np.repeat(pat, e, axis=0)
+    patn = np.repeat(pat, e, axis=0)
     pos = np.empty((rows * e, e), dtype=np.int8)
     np.put_along_axis(
         pos,
@@ -58,10 +67,10 @@ def extend_rows(pd, pat, m):
         np.broadcast_to(np.arange(e, dtype=np.int8), pdn.shape),
         axis=1,
     )
-    for s in range(so, sn):
+    for s in range(comb(m, 3), comb(e, 3)):
         a, b, c = core.triple_at(s, e)
         pa, pb, pc = pos[:, a - 1], pos[:, b - 1], pos[:, c - 1]
-        patn[:, s] = _RANK_LUT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
+        patn[:, s] = _RANK_BIT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
     return pdn, patn
 
 
@@ -99,13 +108,13 @@ def _rows(assignment: Assignment) -> np.ndarray:
     """The orders of a complete assignment as an int8 matrix, one per row."""
     if not assignment.is_complete:
         raise ValueError("expansion needs a complete assignment")
-    pd, pat = root_rows()
+    pd, pat = root_rows(assignment.n)
     m = 2
     for k, code in enumerate(assignment.codes):
         if k == comb(m, 3):
             pd, pat = extend_rows(pd, pat, m)
             m += 1
-        sel = KEEP[code][pat[:, k]]
+        sel = (pat[:, k] & SAT[code]) != 0
         pd, pat = pd[sel], pat[sel]
     return pd
 

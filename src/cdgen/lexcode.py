@@ -46,7 +46,7 @@ class Assignment:
     def __init__(self, n: int, codes: bytes):
         if len(codes) != num_slots(n):
             raise ValueError(f"expected {num_slots(n)} slots for n={n}, got {len(codes)}")
-        if any(c > 6 for c in codes):
+        if max(codes, default=0) > 6:
             raise ValueError("code digits must be 0..6")
         self.n = n
         self.codes = bytes(codes)
@@ -157,7 +157,11 @@ def parse_header(line: str) -> tuple[int, tuple[int, ...]]:
         raise ValueError(f"unsupported triple order {fields['order']!r}")
     if fields["codes"] != CODE_LEGEND:
         raise ValueError("header code table does not match this package's code table")
-    return int(fields["n"]), core.parse_rules(fields["rules"])
+    try:
+        n = int(fields["n"])
+    except ValueError:
+        raise ValueError(f"header field n={fields['n']!r} is not an integer") from None
+    return n, core.parse_rules(fields["rules"])
 
 
 def write_assignments(fh, n: int, rules: tuple[int, ...], assignments: Iterable[Assignment]) -> int:

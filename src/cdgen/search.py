@@ -3,17 +3,21 @@
 The search walks triple slots in co-lex order while carrying the partial
 domain: the orders of 1..m (m = largest alternative seen so far) that
 satisfy every condition assigned yet, as a numpy matrix with one row per
-order and, alongside it, the pattern index of each row on every in-support
-slot.  When the slot index reaches C(m, 3) the support grows by one
-alternative through :func:`cdgen.domain.extend_rows`, the same row
-extension that expands a finished assignment: each row spawns m+1 rows by
-inserting the newcomer at every position, which leaves patterns on old
-slots untouched.
+order and, alongside it, the pattern bits of each row on every slot (one
+bit per pattern on in-support slots, 0 beyond them; C(n,3) columns padded
+to a multiple of 8, see :mod:`cdgen.domain`).  When the slot index reaches
+C(m, 3) the support grows by one alternative through
+:func:`cdgen.domain.extend_rows`, the same row extension that expands a
+finished assignment: each row spawns m+1 rows by inserting the newcomer at
+every position, which leaves patterns on old slots untouched.
 
-Pruning is twofold.  First, pattern-mask feasibility: a completed slot
-must retain all four patterns its condition allows and an unassigned
-in-support slot must still cover some rule's four-pattern set, otherwise
-no completion expands to a domain with four patterns on every triple.
+Pruning is twofold.  First, pattern-mask feasibility, one check per
+child: the OR of the surviving rows' pattern bits, taken over uint64
+words, must cover some rule's four-pattern set on every in-support slot,
+otherwise no completion expands to a domain with four patterns on every
+triple.  On a completed slot the bits are a subset of its condition's
+four, and the six four-pattern sets are distinct, so there the check
+holds exactly when all four patterns the condition allows are retained.
 Second, canonicity from the iso module: the partial lex-max screen on a
 child that leaves slots open, and on the child that fills the last slot
 the exact gate, so each leaf is decided once.  At a surviving leaf the
@@ -37,11 +41,9 @@ from time import perf_counter
 import numpy as np
 
 from . import core
-from .domain import KEEP, Domain, extend_rows, root_rows
+from .domain import SAT, Domain, extend_rows, pattern_sets, root_rows
 from .iso import is_canonical_complete, is_partially_lex_max
 from .lexcode import Assignment
-
-_SHL = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,6 @@ class _Engine:
         self.collect_at: int | None = None
         self.collected: list[bytes] = []
         self.codes = np.zeros(self.slots, dtype=np.uint8)
-        self.expect = np.zeros(7, dtype=np.uint8)
-        for c in self.rules:
-            self.expect[c] = core.SAT_MASKS[c]
         self.cover = np.array(
             [
                 any(mask & core.SAT_MASKS[c] == core.SAT_MASKS[c] for c in self.rules)
@@ -105,7 +104,7 @@ class _Engine:
         )
 
     def root_state(self):
-        return (0, 2, *root_rows())
+        return (0, 2, *root_rows(self.n))
 
     def run(self, prefix: bytes, sink) -> SearchStats:
         """Search the subtree under a code prefix, calling sink once per hit."""
@@ -118,7 +117,7 @@ class _Engine:
     def _extend(self, pd, pat, m):
         """Grow the support to m+1; False when a new slot is already dead."""
         pdn, patn = extend_rows(pd, pat, m)
-        bits = np.bitwise_or.reduce(_SHL[patn[:, comb(m, 3) :]], axis=0)
+        bits = pattern_sets(patn)[comb(m, 3) : comb(m + 1, 3)]
         return pdn, patn, bool(self.cover[bits].all())
 
     def rec(self, k, m, pd, pat):
@@ -137,13 +136,12 @@ class _Engine:
             self._leaf(pd, pat)
             return
         col = pat[:, k]
+        live = comb(m, 3)
         for code in self.rules:
-            sel = KEEP[code][col]
+            sel = (col & SAT[code]) != 0
             pat2 = pat[sel]
-            bits = np.bitwise_or.reduce(_SHL[pat2], axis=0)
             self.codes[k] = code
-            expected = self.expect[self.codes[: k + 1]]
-            if not np.array_equal(bits[: k + 1], expected) or not self.cover[bits[k + 1 :]].all():
+            if not self.cover[pattern_sets(pat2)[:live]].all():
                 self.stats.nodes_pruned += 1
                 continue
             screen = is_canonical_complete if k + 1 == self.slots else is_partially_lex_max
@@ -155,8 +153,7 @@ class _Engine:
 
     def _leaf(self, pd, pat):
         # the exact gate has run: in rec's last child, or in resume on a complete prefix
-        bits = np.bitwise_or.reduce(_SHL[pat], axis=0)
-        if not np.array_equal(bits, self.expect[self.codes]):
+        if not self.cover[pattern_sets(pat)[: self.slots]].all():
             self.stats.nodes_pruned += 1
             return
         self.stats.leaves_emitted += 1
@@ -172,7 +169,7 @@ def _seed(engine: _Engine, prefix: bytes):
             m += 1
             if not ok:
                 return None
-        sel = KEEP[code][pat[:, kk]]
+        sel = (pat[:, kk] & SAT[code]) != 0
         pd, pat = pd[sel], pat[sel]
         engine.codes[kk] = code
     return len(prefix), m, pd, pat

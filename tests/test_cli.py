@@ -245,3 +245,18 @@ def test_failed_generate_leaves_no_output(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_prefix_with_threads_is_refused(tmp_path, capsys):
+    """--prefix runs serially, so --threads 2 with it would misreport the run."""
+    out = tmp_path / "x"
+    base = ["generate", "--n", "5", "--rules", "2N3,2N1", "--prefix", "44", "--threads", "2"]
+    code, stdout, err = run_cli(capsys, *base, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error:") and "--prefix" in err and "--threads" in err
+    assert sorted(tmp_path.iterdir()) == []
+    code, stdout, err = run_cli(capsys, *base)
+    assert (code, stdout) == (1, "")
+    code, _, _ = run_cli(capsys, *base[:-1], "1", "--out", str(out))
+    assert code == 0
+    assert read_manifest(tmp_path / "x.manifest")["thread_count"] == "1"

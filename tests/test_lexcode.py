@@ -50,6 +50,15 @@ def test_from_dict():
     assert a.encode() == "4003"
 
 
+def test_code_digits_above_6_are_refused():
+    for codes in (b"\x07\x00\x00\x00", b"\x04\x04\x04\xff"):
+        with pytest.raises(ValueError, match="code digits must be 0..6"):
+            Assignment(4, codes)
+    with pytest.raises(ValueError, match="code digits must be 0..6"):
+        Assignment.from_string("4447", 4)
+    assert Assignment(4, b"\x06\x00\x01\x00").encode() == "6010"
+
+
 def test_with_slot_is_persistent():
     a = Assignment.empty(4)
     b = a.with_slot(0, 4)
@@ -135,6 +144,10 @@ def test_parse_header_rejects_junk():
         parse_header("n=8 rules=1N3")
     with pytest.raises(ValueError):
         parse_header("# n=8 rules=1N3,2N1 order=lex codes=x")
+    good = header_line(8, (2, 3))
+    for value in ("x", "8.0", ""):
+        with pytest.raises(ValueError, match=f"header field n={value!r} is not an integer"):
+            parse_header(good.replace("n=8", f"n={value}"))
 
 
 def test_file_round_trip():

@@ -1,11 +1,13 @@
 """The orderly search engine: determinism, partitioning, and correctness."""
 
+import hashlib
 import pickle
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
-from cdgen import domain, iso, search
+from cdgen import core, domain, iso, search
 from cdgen.lexcode import Assignment
 from cdgen.search import SearchConfig, SearchStats, generate, resume, run_search
 
@@ -37,6 +39,53 @@ def test_known_class_counts_n5():
         hits, stats = run_search(SearchConfig(n=5, rules=rules))
         assert len(hits) == want
         assert stats.leaves_emitted == want
+
+
+@pytest.mark.parametrize(
+    "n, rules, classes, visited, pruned, sha256",
+    [
+        (6, "2N3,2N1", 461, 4568, 3647, "d2371c804079c071779d08af859e90ac5f27eab3e31ee61078397a92b3e7af0d"),
+        (6, "1N3,3N1", 559, 5596, 4479, "23a76b2846c8fdd69704b69075675087c544f3febcae7074164ec6009f4c3b1b"),
+        (6, "1N3,2N1", 93, 1172, 987, "93fa3a8cf72aaa42ca3d1ec3794c7f3171ccf58db1933a5365435e9e5a61280e"),
+        (7, "1N3,2N1", 552, 11111, 10008, "9214c02ec5f120964e3851a1d82200222fb497e54ae0b9363da4eab635cef400"),
+    ],
+)
+def test_fixed_points(n, rules, classes, visited, pruned, sha256):
+    """Class count, node counters and the code-string stream of four runs."""
+    hits, stats = run_search(SearchConfig(n=n, rules=core.parse_rules(rules)))
+    assert (len(hits), stats.nodes_visited, stats.nodes_pruned) == (classes, visited, pruned)
+    stream = "".join(h.code_string + "\n" for h in hits)
+    assert hashlib.sha256(stream.encode()).hexdigest() == sha256
+
+
+def test_extend_rows_pattern_bits_match_restrict():
+    """Each live slot holds 1 << the index of the row's pattern; the padding reads 0."""
+    for n in range(3, 7):
+        pd, pat = domain.root_rows(n)
+        assert pat.shape[1] % 8 == 0 and comb(n, 3) <= pat.shape[1] < comb(n, 3) + 8
+        for m in range(2, n):
+            pd, pat = domain.extend_rows(pd, pat, m)
+            live = comb(m + 1, 3)
+            for order, bits in zip(pd.tolist(), pat.tolist()):
+                want = [
+                    1 << core.ALL_PATTERNS.index(core.restrict(order, core.triple_at(s, m + 1)))
+                    for s in range(live)
+                ]
+                assert bits == want + [0] * (pat.shape[1] - live)
+            columns = pat.T.tolist()
+            assert domain.pattern_sets(pat).tolist() == [sum(set(column)) for column in columns]
+
+
+def test_cover_is_the_exact_mask_on_completed_slots():
+    """On a completed slot the bits are a subset of SAT[c]; cover holds only for all of SAT[c]."""
+    for size in range(1, 7):
+        for rules in combinations(core.ALL_CONDITIONS, size):
+            cover = search._Engine(SearchConfig(n=4, rules=rules)).cover
+            for c in rules:
+                sat = int(domain.SAT[c])
+                subsets = [b for b in range(64) if b & sat == b]
+                assert len(subsets) == 16
+                assert [bool(cover[b]) for b in subsets] == [b == sat for b in subsets]
 
 
 def test_runs_are_deterministic():
