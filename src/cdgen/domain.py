@@ -2,11 +2,15 @@
 
 A complete assignment describes the maximal set of linear orders that
 satisfy every assigned condition; that set always has transitive pairwise
-majorities.  Expansion grows the orders of 1..m one alternative at a time,
-the same row extension the search engine carries: ``extend_rows`` inserts
-alternative m+1 at every position of every order and records the pattern
-of each new triple, and each slot's condition then filters the rows, so an
-order that an earlier slot rules out is never extended.
+majorities.  Slots run in co-lex order, so the triples whose largest
+alternative is m+1 form one block, slots C(m,3) to C(m+1,3).  ``replay``
+turns any co-lex code prefix into rows by growing the orders one
+alternative per block: ``extend_rows`` inserts alternative m+1 at every
+position of every order of 1..m and records the patterns of the block's
+triples, and the block's assigned codes then filter the rows, so an order
+that an earlier block rules out is never extended.  The same replay
+expands finished assignments for ``expand`` and ``stats``, seeds a
+``--prefix`` search and seeds each pool worker's subtree.
 
 Patterns are kept as pattern bits: entry [r, k] of the pattern matrix is
 ``1 << p`` for the index p (into core.ALL_PATTERNS) of row r's pattern on
@@ -67,11 +71,31 @@ def extend_rows(pd, pat, m):
         np.broadcast_to(np.arange(e, dtype=np.int8), pdn.shape),
         axis=1,
     )
-    for s in range(comb(m, 3), comb(e, 3)):
-        a, b, c = core.triple_at(s, e)
-        pa, pb, pc = pos[:, a - 1], pos[:, b - 1], pos[:, c - 1]
-        patn[:, s] = _RANK_BIT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
+    # the new triples (a+1, b+1, m+1) in co-lex order: b ascending, then a
+    b, a = np.tril_indices(m, -1)
+    pa, pb, pc = pos[:, a], pos[:, b], pos[:, m : m + 1]
+    patn[:, comb(m, 3) : comb(e, 3)] = _RANK_BIT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
     return pdn, patn
+
+
+def replay(n, codes):
+    """Grow the orders through a co-lex code prefix, one alternative per block.
+
+    Returns (m, pd, pat): m is the least m >= 2 with C(m,3) >= len(codes),
+    pd the orders of 1..m that satisfy every code, and pat their pattern
+    bits.  Each block's codes filter the rows at once; the filters AND
+    together, so this keeps the rows a slot-by-slot filter keeps.
+    """
+    codes = np.frombuffer(codes, dtype=np.uint8)
+    pd, pat = root_rows(n)
+    m = 2
+    while len(codes) > comb(m, 3):
+        pd, pat = extend_rows(pd, pat, m)
+        lo, hi = comb(m, 3), min(len(codes), comb(m + 1, 3))
+        sel = ((pat[:, lo:hi] & SAT[codes[lo:hi]]) != 0).all(axis=1)
+        pd, pat = pd[sel], pat[sel]
+        m += 1
+    return m, pd, pat
 
 
 class Domain:
@@ -108,36 +132,12 @@ def _rows(assignment: Assignment) -> np.ndarray:
     """The orders of a complete assignment as an int8 matrix, one per row."""
     if not assignment.is_complete:
         raise ValueError("expansion needs a complete assignment")
-    pd, pat = root_rows(assignment.n)
-    m = 2
-    for k, code in enumerate(assignment.codes):
-        if k == comb(m, 3):
-            pd, pat = extend_rows(pd, pat, m)
-            m += 1
-        sel = (pat[:, k] & SAT[code]) != 0
-        pd, pat = pd[sel], pat[sel]
-    return pd
+    return replay(assignment.n, assignment.codes)[1]
 
 
 def expand(assignment: Assignment) -> Domain:
     """All linear orders satisfying every condition of a complete assignment."""
     return Domain(assignment.n, _rows(assignment).tolist(), source=assignment)
-
-
-def expand_filtered(assignment: Assignment) -> Domain:
-    """Same set via filtering all n! orders; test oracle, small n only."""
-    if not assignment.is_complete:
-        raise ValueError("expansion needs a complete assignment")
-    n = assignment.n
-    if n > 7:
-        raise ValueError("the n!-filter oracle is capped at n <= 7")
-    conds = list(assignment.items())
-    orders = [
-        o
-        for o in permutations(range(1, n + 1))
-        if all(core.satisfies(o, t, c) for t, c in conds)
-    ]
-    return Domain(n, orders, source=assignment)
 
 
 def expand_size(assignment: Assignment) -> int:
@@ -181,7 +181,7 @@ def is_copious(domain: Domain) -> bool:
     return True
 
 
-def is_maximal(domain: Domain, cells: int = 9, force: bool = False) -> bool:
+def is_maximal(domain: Domain, cells: int = 9) -> bool:
     """True iff no order can be added while keeping majorities transitive.
 
     An extension survives iff every triple still has some never condition
@@ -191,8 +191,8 @@ def is_maximal(domain: Domain, cells: int = 9, force: bool = False) -> bool:
     cells out.
     """
     n = domain.n
-    if n > 9 and not force:
-        raise ValueError("is_maximal enumerates all n! candidates; pass force=True beyond n=9")
+    if n > 9:
+        raise ValueError("is_maximal enumerates all n! candidates and is capped at n <= 9")
     if cells not in (6, 9):
         raise ValueError("cells must be 6 or 9")
     triples = core.all_triples(n)
@@ -259,7 +259,12 @@ def read_domain(fh) -> Domain:
     if not header.startswith("#"):
         raise ValueError("domain file must start with a '#' header line")
     fields = dict(part.split("=", 1) for part in header[1:].split() if "=" in part)
-    n = int(fields["n"])
+    if "n" not in fields:
+        raise ValueError("domain header is missing the n= field")
+    try:
+        n = int(fields["n"])
+    except ValueError:
+        raise ValueError(f"domain header field n={fields['n']!r} is not an integer") from None
     source = None
     if fields.get("source") not in (None, "unknown"):
         source = Assignment.from_string(fields["source"], n)

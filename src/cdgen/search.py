@@ -5,11 +5,14 @@ domain: the orders of 1..m (m = largest alternative seen so far) that
 satisfy every condition assigned yet, as a numpy matrix with one row per
 order and, alongside it, the pattern bits of each row on every slot (one
 bit per pattern on in-support slots, 0 beyond them; C(n,3) columns padded
-to a multiple of 8, see :mod:`cdgen.domain`).  When the slot index reaches
+to a multiple of 8, see :mod:`cdgen.domain`).  A search starts from
+:func:`cdgen.domain.replay` of its code prefix, the one walk from codes to
+rows: empty for a full run, the ``--prefix`` of a partitioned run, or the
+subtree prefix a pool worker is handed.  When the slot index reaches
 C(m, 3) the support grows by one alternative through
-:func:`cdgen.domain.extend_rows`, the same row extension that expands a
-finished assignment: each row spawns m+1 rows by inserting the newcomer at
-every position, which leaves patterns on old slots untouched.
+:func:`cdgen.domain.extend_rows`, the row extension the replay uses: each
+row spawns m+1 rows by inserting the newcomer at every position, which
+leaves patterns on old slots untouched.
 
 Pruning is twofold.  First, pattern-mask feasibility, one check per
 child: the OR of the surviving rows' pattern bits, taken over uint64
@@ -41,7 +44,7 @@ from time import perf_counter
 import numpy as np
 
 from . import core
-from .domain import SAT, Domain, extend_rows, pattern_sets, root_rows
+from .domain import SAT, Domain, extend_rows, pattern_sets, replay
 from .iso import is_canonical_complete, is_partially_lex_max
 from .lexcode import Assignment
 
@@ -104,14 +107,14 @@ class _Engine:
         )
 
     def root_state(self):
-        return (0, 2, *root_rows(self.n))
+        # the rec arguments of a full run; perfbench/build_goldens.py calls this
+        return (0, *replay(self.n, b""))
 
     def run(self, prefix: bytes, sink) -> SearchStats:
         """Search the subtree under a code prefix, calling sink once per hit."""
         self.sink = sink
-        state = _seed(self, prefix)
-        if state is not None:
-            self.rec(*state)
+        self.codes[: len(prefix)] = list(prefix)
+        self.rec(len(prefix), *replay(self.n, prefix))
         return self.stats
 
     def _extend(self, pd, pat, m):
@@ -160,21 +163,6 @@ class _Engine:
         self.sink(SearchHit(Assignment(self.n, self.codes.tobytes()), pd))
 
 
-def _seed(engine: _Engine, prefix: bytes):
-    """Replay a code prefix; None when an extension proves the subtree empty."""
-    k, m, pd, pat = engine.root_state()
-    for kk, code in enumerate(prefix):
-        while m < engine.n and kk == comb(m, 3):
-            pd, pat, ok = engine._extend(pd, pat, m)
-            m += 1
-            if not ok:
-                return None
-        sel = (pat[:, kk] & SAT[code]) != 0
-        pd, pat = pd[sel], pat[sel]
-        engine.codes[kk] = code
-    return len(prefix), m, pd, pat
-
-
 def _subtree_worker(job):
     cfg, prefix = job
     payload = []
@@ -196,7 +184,7 @@ def _generate_parallel(cfg: SearchConfig, sink) -> SearchStats:
         scout.collect_at = depth
         scout.collected = []
         scout.stats = SearchStats()
-        scout.rec(*scout.root_state())
+        scout.run(b"", None)
         if len(scout.collected) >= target or depth >= scout.slots or not scout.collected:
             break
         depth += 1

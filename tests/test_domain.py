@@ -2,16 +2,15 @@
 
 import io
 import random
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
 
-from cdgen import core, domain
+from cdgen import core, domain, oracle
 from cdgen.domain import (
     Domain,
     expand,
-    expand_filtered,
     expand_size,
     format_histogram,
     histogram,
@@ -24,6 +23,11 @@ from cdgen.domain import (
     write_domain,
 )
 from cdgen.lexcode import Assignment
+
+
+def filtered(a):
+    """The n!-filter reference from the oracle, as a Domain."""
+    return Domain(a.n, oracle.expanded_orders(a.codes, a.n))
 
 
 def test_expand_single_2n3():
@@ -43,14 +47,14 @@ def test_expand_matches_filter_exhaustively_small():
         for n in (3, 4):
             for codes in product(rules, repeat=comb(n, 3)):
                 a = Assignment(n, bytes(codes))
-                assert expand(a) == expand_filtered(a)
+                assert expand(a) == filtered(a)
 
 
 def test_expand_all_six_spot_checks():
     for codes in product((1, 2, 3, 4, 5, 6), repeat=4):
         a = Assignment(4, bytes(codes))
         fast = expand(a)
-        assert fast == expand_filtered(a)
+        assert fast == filtered(a)
         assert expand_size(a) == len(fast)
 
 
@@ -136,7 +140,7 @@ def test_expand_matches_filter_sampled_n5():
     for _ in range(1000):
         rules = rng.choice([(3, 4), (2, 5), (2, 3), (1, 2, 3, 4, 5, 6)])
         a = Assignment(5, bytes(rng.choice(rules) for _ in range(10)))
-        assert expand(a) == expand_filtered(a)
+        assert expand(a) == filtered(a)
 
 
 def test_expand_matches_filter_sampled_n6_n7():
@@ -145,7 +149,7 @@ def test_expand_matches_filter_sampled_n6_n7():
         for _ in range(samples):
             rules = rng.choice([(3, 4), (2, 5), (2, 3), (1, 2, 3, 4, 5, 6)])
             a = Assignment(n, bytes(rng.choice(rules) for _ in range(comb(n, 3))))
-            want = expand_filtered(a)
+            want = filtered(a)
             assert expand(a) == want
             assert expand_size(a) == len(want)
 
@@ -154,7 +158,7 @@ def test_is_maximal_guards():
     d = expand(Assignment.from_string("4", 3))
     with pytest.raises(ValueError):
         is_maximal(d, cells=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"capped at n <= 9"):
         is_maximal(Domain(10, [tuple(range(1, 11))]))
 
 
@@ -205,9 +209,56 @@ def test_read_domain_rejects_missing_header():
         read_domain(io.StringIO("1 2 3\n"))
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("# source=4", "domain header is missing the n= field"),
+        ("# n=x source=4", "domain header field n='x' is not an integer"),
+    ],
+)
+def test_read_domain_rejects_a_bad_n_field(header, message):
+    with pytest.raises(ValueError, match=message):
+        read_domain(io.StringIO(header + "\n1 2 3\n"))
+
+
 def test_domain_membership_and_ordering():
     d = expand(Assignment.from_string("4", 3))
     assert (2, 3, 1) in d
     assert (3, 1, 2) not in d
     assert list(d) == sorted(d.orders)
     assert len(d) == 4
+
+
+
+def test_replay_matches_the_filtered_orders():
+    """replay on seeded random co-lex prefixes at n = 4..6 (empty, ending
+    mid-block, ending exactly at some C(m,3), complete): the rows are the
+    orders of 1..m meeting every assigned code, and their pattern bits are
+    those of restrict() on the live slots, 0 beyond."""
+    rng = random.Random(1414)
+    for n in (4, 5, 6):
+        slots = comb(n, 3)
+        boundaries = {comb(m, 3) for m in range(2, n + 1)}
+        lengths = sorted(boundaries | set(range(1, slots, 2)))
+        assert lengths[0] == 0 and lengths[-1] == slots
+        for rules in [(3, 4), (2, 5), (2, 3), (1, 2, 3, 4, 5, 6)]:
+            for length in lengths:
+                codes = bytes(rng.choice(rules) for _ in range(length))
+                m, pd, pat = domain.replay(n, codes)
+                assert m == min(k for k in range(2, n + 1) if comb(k, 3) >= length)
+                triples = [core.triple_at(k, n) for k in range(length)]
+                want = {
+                    order
+                    for order in permutations(range(1, m + 1))
+                    if all(core.satisfies(order, t, c) for t, c in zip(triples, codes))
+                }
+                rows = [tuple(order) for order in pd.tolist()]
+                assert len(rows) == len(set(rows)) and set(rows) == want, codes
+                live = comb(m, 3)
+                assert pat.shape == (len(rows), -(-slots // 8) * 8)
+                for order, bits in zip(rows, pat.tolist()):
+                    assert bits[:live] == [
+                        1 << core.ALL_PATTERNS.index(core.restrict(order, core.triple_at(s, m)))
+                        for s in range(live)
+                    ]
+                    assert not any(bits[live:])

@@ -2,7 +2,7 @@
 
 import hashlib
 import pickle
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -181,6 +181,34 @@ def test_resume_on_a_complete_prefix():
     stats = resume(cfg, "3333343333", out.append)
     assert out == []
     assert (stats.nodes_visited, stats.nodes_pruned) == (1, 1)
+
+
+def test_resume_counts_the_root_of_an_infeasible_prefix():
+    """The prefix replay runs no dead-extension check: rec visits the root
+    and its feasibility check prunes both children."""
+    out = []
+    stats = resume(SearchConfig(n=5, rules=(2, 5)), "22252", out.append)
+    assert out == []
+    assert (stats.nodes_visited, stats.nodes_pruned, stats.leaves_emitted) == (1, 2, 0)
+
+
+def test_every_accepted_short_prefix_resumes_to_its_slice_of_the_full_run():
+    """Each prefix of length <= 5 that resume accepts emits exactly the full
+    run's hits that start with it, and counts at least its root."""
+    cfg = SearchConfig(n=5, rules=(2, 5))
+    full = codes_of(run_search(cfg)[0])
+    accepted = 0
+    for length in range(6):
+        for codes in product("25", repeat=length):
+            prefix = "".join(codes)
+            try:
+                got, stats = run_search(cfg, prefix=prefix)
+            except ValueError:
+                continue
+            accepted += 1
+            assert codes_of(got) == [c for c in full if c.startswith(prefix)], prefix
+            assert stats.nodes_visited >= 1
+    assert accepted == 62
 
 
 def test_resume_on_undominated_low_prefix():
