@@ -172,10 +172,10 @@ def _cmd_expand(args) -> int:
         out_dir / "expand.manifest", "expand", n=n, rules=core.rules_token(rules), domains=len(assignments),
     ) as output:
         for a in assignments:
-            path = out_dir / f"{a.encode()}.orders"
-            with output.open(path) as fh:
+            with output.open(out_dir / f"{a.encode()}.orders") as fh:
                 write_domain(fh, expand(a))
-            print(path)
+    for path in output.paths:  # only once _Output has published them
+        print(path)
     return 0
 
 

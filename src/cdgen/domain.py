@@ -268,10 +268,13 @@ def read_domain(fh) -> Domain:
     source = None
     if fields.get("source") not in (None, "unknown"):
         source = Assignment.from_string(fields["source"], n)
-    orders = []
-    for line in fh:
+    orders: dict[tuple[int, ...], int] = {}  # order -> its line
+    for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        orders.append(core.parse_order(line, n))
+        order = core.parse_order(line, n)
+        if order in orders:
+            raise ValueError(f"line {lineno}: order {line} repeats line {orders[order]}")
+        orders[order] = lineno
     return Domain(n, orders, source=source)

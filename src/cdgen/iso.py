@@ -17,7 +17,8 @@ so it can neither beat a complete assignment nor an open prefix.  The
 acting set is built once per (n, rules) by a depth-first search over
 partial permutations, without visiting all of S_n: at n=8 it has 2, 34
 and 8 members for 2N3,2N1, 1N3,3N1 and 1N3,2N1, against 8! = 40320.  Both
-canonicity tests are one dominance test over the rows of that set.
+canonicity tests are one dominance test over the rows of that set,
+:func:`dominated`, which the search engine calls on its own codes.
 """
 
 from __future__ import annotations
@@ -83,18 +84,8 @@ def transform(assignment: Assignment, g: tuple[int, ...], rules: tuple[int, ...]
     return Assignment(n, bytes(codes))
 
 
-def _validate_prefix(assignment: Assignment, rules: tuple[int, ...]) -> int:
-    if not assignment.is_colex_prefix():
-        raise ValueError("assigned slots must form a co-lex prefix")
-    k = assignment.assigned_count
-    outside = set(assignment.codes[:k]) - set(rules)
-    if outside:
-        raise ValueError(f"assigned code {min(outside)} is outside the rule set")
-    return k
-
-
 def is_partially_lex_max(assignment: Assignment, rules: tuple[int, ...]) -> bool:
-    """Partial maximality test used to prune the orderly search.
+    """Validating partial maximality test: :func:`dominated` on a checked prefix.
 
     A prefix of k assigned slots is dominated when some relabeling g
 
@@ -110,18 +101,20 @@ def is_partially_lex_max(assignment: Assignment, rules: tuple[int, ...]) -> bool
     are tried.  The prefix passes when it is not dominated; with every slot
     assigned this is the exact canonicity test.
     """
-    k = _validate_prefix(assignment, rules)
-    if k == 0 or len(set(rules)) == 1:
-        return True
-    return not _dominated(assignment.codes, k, _acting_tables(assignment.n, rules))
+    if not assignment.is_colex_prefix():
+        raise ValueError("assigned slots must form a co-lex prefix")
+    k = assignment.assigned_count
+    if outside := set(assignment.codes[:k]) - set(rules):
+        raise ValueError(f"assigned code {min(outside)} is outside the rule set")
+    prefix = np.frombuffer(assignment.codes, dtype=np.uint8, count=k)
+    return not dominated(prefix, acting_tables(assignment.n, rules))
 
 
 def is_canonical_complete(assignment: Assignment, rules: tuple[int, ...]) -> bool:
     """Exact test: no rule-respecting relabeling is lexicographically greater.
 
     The dominance test of :func:`is_partially_lex_max` at full length,
-    where rules (b) and (c) hold for every relabeling.  A singleton rule
-    set short-circuits: the only complete assignment is its own class.
+    where rules (b) and (c) hold for every relabeling.
     """
     if not assignment.is_complete:
         raise ValueError("exact canonicity test needs a complete assignment")
@@ -214,7 +207,7 @@ def _transform_tables(perms: np.ndarray, n: int):
 _ACTING_CACHE = {}
 
 
-def _acting_tables(n: int, rules: tuple[int, ...]):
+def acting_tables(n: int, rules: tuple[int, ...]):
     """Dominance tables over the acting set of (n, rules), built once.
 
     Returns (source, code_map, candidates, in_rules).  source[g, s] is the
@@ -246,14 +239,14 @@ def _acting_tables(n: int, rules: tuple[int, ...]):
     return _ACTING_CACHE[key]
 
 
-def _dominated(codes: bytes, k: int, tables) -> bool:
-    """True when a candidate relabeling maps the k-slot prefix into the
-    rules and onto a lexicographically greater prefix."""
+def dominated(prefix: np.ndarray, tables) -> bool:
+    """True when a candidate row of :func:`acting_tables` maps the uint8 code
+    prefix, taken as valid, into the rules and onto a greater prefix."""
     source, code_map, candidates, in_rules = tables
+    k = len(prefix)
     rows = candidates[k]
     if rows.size == 0:
         return False
-    prefix = np.frombuffer(codes, dtype=np.uint8, count=k)
     src = source[rows, :k]
     image = code_map[rows[:, None], src, prefix[src]]
     image = image[in_rules[image].all(axis=1)]

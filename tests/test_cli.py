@@ -132,6 +132,18 @@ def test_expand_command(tmp_path, capsys):
     assert (out_dir / "expand.manifest").exists()
 
 
+def test_failed_expand_prints_no_path(tmp_path, capsys):
+    """The order-file paths are printed only once expand has published them."""
+    conds = tmp_path / "n4.conds"
+    conds.write_text(header_line(4, (3, 4)) + "\n4444\n4400\n")
+    out_dir = tmp_path / "domains"
+    code, outtext, err = run_cli(capsys, "expand", "--in", str(conds), "--out-dir", str(out_dir))
+    assert code == 1
+    assert err.startswith("error:") and "complete" in err
+    assert outtext == ""
+    assert sorted(out_dir.iterdir()) == []
+
+
 def test_stats_round_trips_generate_histogram(tmp_path, capsys):
     """stats over a conditions file reproduces the histogram the search
     itself would have produced."""

@@ -221,6 +221,11 @@ def test_read_domain_rejects_a_bad_n_field(header, message):
         read_domain(io.StringIO(header + "\n1 2 3\n"))
 
 
+def test_read_domain_rejects_a_repeated_order():
+    with pytest.raises(ValueError, match="line 3: order 123 repeats line 2"):
+        read_domain(io.StringIO("# n=3\n123\n123\n132\n"))
+
+
 def test_domain_membership_and_ordering():
     d = expand(Assignment.from_string("4", 3))
     assert (2, 3, 1) in d

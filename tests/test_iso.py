@@ -3,6 +3,7 @@
 from itertools import permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -310,3 +311,30 @@ def test_acting_set_sizes():
     assert len(iso.acting_set(8, (2, 5))) == 34
     assert len(iso.acting_set(8, (2, 3))) == 8
     assert len(iso.acting_set(8, ALL_SIX)) == iso.ACTING_CAP
+    for n in range(3, 11):
+        assert [len(iso.acting_set(n, (c,))) for c in ALL_SIX] == [2] * 6
+
+
+def test_dominated_on_engine_codes_matches_partial_test():
+    """``dominated`` on a uint8 view of the engine's codes buffer gives the
+    verdict of the validating entry point, with no special case: nothing
+    is dominated at k = 0 or under a single rule.  At n <= 5 both also
+    agree with the brute-force reference."""
+    import random
+
+    rng = random.Random(1515)
+    rule_sets = [(3, 4), (2, 5), (2, 3)] + [(c,) for c in ALL_SIX]
+    for n in range(4, 8):
+        slots = comb(n, 3)
+        for rules in rule_sets:
+            tables = iso.acting_tables(n, rules)
+            for k in [0, slots] + [rng.randint(1, slots - 1) for _ in range(12)]:
+                codes = np.zeros(slots, dtype=np.uint8)
+                codes[:k] = [rng.choice(rules) for _ in range(k)]
+                a = Assignment(n, codes.tobytes())
+                verdict = iso.dominated(codes[:k], tables)
+                assert verdict == (not iso.is_partially_lex_max(a, rules))
+                if k == 0 or len(rules) == 1:
+                    assert not verdict
+                if n <= 5:
+                    assert verdict == (not _reference_full_support_partial(a, rules, k))

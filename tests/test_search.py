@@ -88,6 +88,54 @@ def test_cover_is_the_exact_mask_on_completed_slots():
                 assert [bool(cover[b]) for b in subsets] == [b == sat for b in subsets]
 
 
+def test_each_condition_allows_both_orders_of_every_pair():
+    for code, mask in core.SAT_MASKS.items():
+        allowed = [p for i, p in enumerate(core.ALL_PATTERNS) if mask >> i & 1]
+        assert len(allowed) == 4
+        for x, y in combinations((1, 2, 3), 2):
+            assert {p.index(x) < p.index(y) for p in allowed} == {True, False}, code
+
+
+def test_extension_below_a_feasible_block_boundary_shows_every_pattern():
+    """Rows that cover every completed slot extend to all six patterns on
+    every new slot, so a support extension needs no check of its own."""
+    cases = [(rules, 6) for rules in [(3, 4), (2, 5), (2, 3)] + [(c,) for c in ALL_SIX]]
+    cases.append((ALL_SIX, 5))
+    for rules, n in cases:
+        cover = search._Engine(SearchConfig(n=n, rules=rules)).cover
+        for m in range(3, n):
+            passing = 0
+            for codes in product(rules, repeat=comb(m, 3)):
+                _, pd, pat = domain.replay(n, bytes(codes))
+                if not cover[domain.pattern_sets(pat)[: comb(m, 3)]].all():
+                    continue
+                passing += 1
+                _, patn = domain.extend_rows(pd, pat, m)
+                assert (domain.pattern_sets(patn)[comb(m, 3) : comb(m + 1, 3)] == 63).all()
+            assert passing
+
+
+def test_interior_children_build_no_assignment(monkeypatch):
+    """Only the last-slot gate and the hits build an Assignment; the
+    screen of every other child runs on the engine's codes."""
+    built, gated = [], []
+    init, gate = Assignment.__init__, search.is_canonical_complete
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_gate(*args):
+        gated.append(1)
+        return gate(*args)
+
+    monkeypatch.setattr(Assignment, "__init__", counting_init)
+    monkeypatch.setattr(search, "is_canonical_complete", counting_gate)
+    hits, stats = run_search(SearchConfig(n=6, rules=core.parse_rules("1N3,3N1")))
+    assert len(hits) == stats.leaves_emitted == 559
+    assert 0 < len(built) <= len(gated) + stats.leaves_emitted < stats.nodes_visited
+
+
 def test_runs_are_deterministic():
     cfg = SearchConfig(n=5, rules=(3, 4))
     first, _ = run_search(cfg)
@@ -188,6 +236,17 @@ def test_resume_counts_the_root_of_an_infeasible_prefix():
     and its feasibility check prunes both children."""
     out = []
     stats = resume(SearchConfig(n=5, rules=(2, 5)), "22252", out.append)
+    assert out == []
+    assert (stats.nodes_visited, stats.nodes_pruned, stats.leaves_emitted) == (1, 2, 0)
+
+
+def test_resume_counts_one_prune_per_rule_below_an_infeasible_block_boundary():
+    """A prefix that ends at C(4,3) has its support extended, then each
+    child fails the feasibility check, as after a mid-block prefix."""
+    cfg = SearchConfig(n=5, rules=(2, 5))
+    assert not [c for c in codes_of(run_search(cfg)[0]) if c.startswith("2225")]
+    out = []
+    stats = resume(cfg, "2225", out.append)
     assert out == []
     assert (stats.nodes_visited, stats.nodes_pruned, stats.leaves_emitted) == (1, 2, 0)
 
