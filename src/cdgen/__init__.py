@@ -23,12 +23,7 @@ from .domain import (
     is_unitary,
     satisfied_conditions,
 )
-from .iso import (
-    induced_condition,
-    is_canonical_complete,
-    is_partially_lex_max,
-    transform,
-)
+from .iso import is_canonical_complete, is_partially_lex_max
 from .lexcode import Assignment, lex_compare
 from .oracle import brute_force_classes, brute_force_orbits, cross_check
 from .search import SearchConfig, SearchHit, SearchStats, generate, resume, run_search
@@ -53,7 +48,6 @@ __all__ = [
     "expand_size",
     "generate",
     "histogram",
-    "induced_condition",
     "is_canonical_complete",
     "is_copious",
     "is_maximal",
@@ -68,7 +62,6 @@ __all__ = [
     "run_search",
     "satisfied_conditions",
     "satisfies",
-    "transform",
     "triple_at",
     "triple_index",
 ]

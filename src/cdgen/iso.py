@@ -7,8 +7,10 @@ When i' == j the image is one of the degenerate conditions 1N1/2N2/3N3,
 which no unitary domain can satisfy; such images are reported as code 0 and
 reject the permutation wherever a valid image is required.
 
-Permutations are written as tuples of images: g[x-1] is the image of
-alternative x, and alternatives beyond len(g) are fixed.
+Permutations of 1..n are written as tuples of images: g[x-1] is the image
+of alternative x.  The action lives in one place, :func:`_transform_tables`,
+which tabulates it for a block of permutations at once; the independent
+reference it is tested against is :func:`cdgen.oracle._relabeled`.
 
 Few relabelings matter to the canonicity tests.  Call g *acting* for
 (n, rules) when every triple keeps some rule inside the rules under g; a
@@ -35,53 +37,6 @@ from .lexcode import Assignment
 # or 2N1,3N1 keeps a rule on every triple under every relabeling, so from
 # n=9 on its acting set is all of S_n and the tables would take gigabytes.
 ACTING_CAP = factorial(8)
-
-
-def apply_alt(g: tuple[int, ...], x: int) -> int:
-    return g[x - 1] if x <= len(g) else x
-
-
-def apply_to_triple(g: tuple[int, ...], t) -> tuple[int, int, int]:
-    """Sorted image of a triple under g."""
-    return tuple(sorted(apply_alt(g, x) for x in t))
-
-
-def position_map(t, g: tuple[int, ...]) -> tuple[int, int, int]:
-    """Where each in-triple position of t lands inside the image triple.
-
-    Entry i-1 is the rank (1..3) of g(i-th smallest of t) within the sorted
-    image.  The map is a permutation of (1, 2, 3).
-    """
-    images = [apply_alt(g, x) for x in t]
-    ranked = sorted(images)
-    return tuple(ranked.index(v) + 1 for v in images)
-
-
-def induced_condition(t, code: int, g: tuple[int, ...]) -> int:
-    """Image of a condition under g, or 0 when the image is degenerate."""
-    i, j = core.CONDITION_PAIRS[code]
-    i2 = position_map(t, g)[i - 1]
-    if i2 == j:
-        return 0
-    return core.CONDITION_CODES[(i2, j)]
-
-
-def transform(assignment: Assignment, g: tuple[int, ...], rules: tuple[int, ...]) -> Assignment | None:
-    """Relabeled assignment, or None when any image leaves the rule set.
-
-    Every assigned condition moves to the slot of its image triple; a
-    degenerate image or an image outside ``rules`` rejects the whole
-    permutation.
-    """
-    n = assignment.n
-    allowed = set(rules)
-    codes = bytearray(len(assignment.codes))
-    for t, c in assignment.items():
-        c2 = induced_condition(t, c, g)
-        if c2 == 0 or c2 not in allowed:
-            return None
-        codes[core.triple_index(apply_to_triple(g, t), n)] = c2
-    return Assignment(n, bytes(codes))
 
 
 def is_partially_lex_max(assignment: Assignment, rules: tuple[int, ...]) -> bool:

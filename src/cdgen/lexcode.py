@@ -11,7 +11,7 @@ set; the class enforces the first and leaves the second to callers.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import core
 
@@ -52,24 +52,10 @@ class Assignment:
         self.codes = bytes(codes)
 
     @classmethod
-    def empty(cls, n: int) -> "Assignment":
-        return cls(n, bytes(num_slots(n)))
-
-    @classmethod
     def from_string(cls, digits: str, n: int | None = None) -> "Assignment":
         if n is None:
             n = n_for_length(len(digits))
         return cls(n, bytes(int(ch) for ch in digits))
-
-    @classmethod
-    def from_dict(cls, n: int, conditions: dict) -> "Assignment":
-        """Build from {triple: code} with every other slot unassigned."""
-        codes = bytearray(num_slots(n))
-        for t, code in conditions.items():
-            if code not in core.CONDITION_PAIRS:
-                raise ValueError(f"invalid condition code {code!r}")
-            codes[core.triple_index(t, n)] = code
-        return cls(n, bytes(codes))
 
     def encode(self) -> str:
         return "".join(str(c) for c in self.codes)
@@ -89,14 +75,6 @@ class Assignment:
     def __le__(self, other: "Assignment") -> bool:
         return lex_compare(self, other) != GREATER
 
-    def slot(self, t) -> int:
-        return self.codes[core.triple_index(t, self.n)]
-
-    def with_slot(self, k: int, code: int) -> "Assignment":
-        codes = bytearray(self.codes)
-        codes[k] = code
-        return Assignment(self.n, bytes(codes))
-
     @property
     def assigned_count(self) -> int:
         return len(self.codes) - self.codes.count(0)
@@ -109,20 +87,6 @@ class Assignment:
         """True iff the assigned slots are exactly 0..k-1 for some k."""
         k = self.assigned_count
         return 0 not in self.codes[:k]
-
-    def support(self) -> frozenset[int]:
-        """Alternatives appearing in at least one assigned triple."""
-        alts = set()
-        for k, c in enumerate(self.codes):
-            if c:
-                alts.update(core.triple_at(k, self.n))
-        return frozenset(alts)
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int], int]]:
-        """Assigned (triple, code) pairs in co-lex order."""
-        for k, c in enumerate(self.codes):
-            if c:
-                yield core.triple_at(k, self.n), c
 
 
 def lex_compare(a: Assignment, b: Assignment) -> int:
@@ -180,7 +144,7 @@ def read_assignments(fh) -> tuple[int, tuple[int, ...], list[Assignment]]:
     header = fh.readline().rstrip("\n")
     n, rules = parse_header(header)
     allowed = set("0" + "".join(map(str, rules)))
-    out = []
+    out: dict[str, int] = {}  # code string -> its line
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -190,5 +154,7 @@ def read_assignments(fh) -> tuple[int, tuple[int, ...], list[Assignment]]:
         if outside := set(line) - allowed:
             token = core.rules_token(rules)
             raise ValueError(f"line {lineno}: {line} has code {min(outside)} outside rules={token}")
-        out.append(Assignment.from_string(line, n))
-    return n, rules, out
+        if line in out:
+            raise ValueError(f"line {lineno}: {line} repeats line {out[line]}")
+        out[line] = lineno
+    return n, rules, [Assignment.from_string(line, n) for line in out]

@@ -9,7 +9,9 @@ and reports the lexicographically greatest member of each class.  This is
 the ground truth the search engine is checked against.  Both the
 relabeling action and the expansion are recoded from the definitions on
 purpose and share nothing with :mod:`cdgen.iso` or :mod:`cdgen.domain`;
-agreement between the implementations is part of the test surface.
+agreement between the implementations is part of the test surface, and
+:func:`_relabeled`, which also relabels partial assignments by skipping
+their unassigned slots, is the one reference for iso's action tables.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ ENUMERATION_GUARD = 10**9
 
 
 def _relabeled(codes: bytes, n: int, g: tuple[int, ...], allowed: frozenset[int]) -> bytes | None:
-    """Image of a complete assignment under g, or None if it leaves the rules.
+    """Image of an assignment under g, or None if it leaves the rules.
 
     Independent recoding of the action: for each triple, rank the images of
     its members, move the condition's position index through that ranking,
     and keep the rank bound unchanged.  Degenerate images (position index
-    equal to the rank bound) also reject the permutation.
+    equal to the rank bound) also reject the permutation.  Unassigned slots
+    (digit 0) are skipped and leave their image slot unassigned, so partial
+    assignments relabel too.
     """
     out = bytearray(len(codes))
     for k in range(len(codes)):
+        if not codes[k]:
+            continue
         a, b, c = core.triple_at(k, n)
         images = (g[a - 1], g[b - 1], g[c - 1])
         lo, mid, hi = sorted(images)

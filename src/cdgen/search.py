@@ -118,7 +118,13 @@ class _Engine:
         """Search the subtree under a code prefix, calling sink once per hit."""
         self.sink = sink
         self.codes[: len(prefix)] = list(prefix)
-        self.rec(len(prefix), *replay(self.n, prefix))
+        m, pd, pat = replay(self.n, prefix)
+        if len(prefix) == self.slots and not self.cover[pattern_sets(pat)[: self.slots]].all():
+            # rec checks feasibility in the child that fills the last slot; a complete prefix skipped it
+            self.stats.nodes_visited += 1
+            self.stats.nodes_pruned += 1
+            return self.stats
+        self.rec(len(prefix), m, pd, pat)
         return self.stats
 
     def _extend(self, pd, pat, m):
@@ -135,7 +141,9 @@ class _Engine:
             pd, pat = self._extend(pd, pat, m)
             m += 1
         if k == self.slots:
-            self._leaf(pd, pat)
+            # feasibility and the exact gate have run: in the loop one level up, or in run and resume
+            self.stats.leaves_emitted += 1
+            self.sink(SearchHit(Assignment(self.n, self.codes.tobytes()), pd))
             return
         col = pat[:, k]
         live = comb(m, 3)
@@ -156,14 +164,6 @@ class _Engine:
                 continue
             self.rec(k + 1, m, pd[sel], pat2)
         self.codes[k] = 0
-
-    def _leaf(self, pd, pat):
-        # the exact gate has run: in rec's last child, or in resume on a complete prefix
-        if not self.cover[pattern_sets(pat)[: self.slots]].all():
-            self.stats.nodes_pruned += 1
-            return
-        self.stats.leaves_emitted += 1
-        self.sink(SearchHit(Assignment(self.n, self.codes.tobytes()), pd))
 
 
 def _subtree_worker(job):

@@ -177,6 +177,19 @@ def test_stats_rejects_codes_outside_the_header_rules(tmp_path, capsys):
     assert "line 2: 1111111111 has code 1 outside rules=2N1,2N3" in err
 
 
+def test_stats_and_expand_reject_a_repeated_code_string(tmp_path, capsys):
+    """A class listed twice would be counted and expanded twice."""
+    conds = tmp_path / "twice.conds"
+    conds.write_text(header_line(4, (3, 4)) + "\n4444\n4444\n")
+    hist, out_dir = tmp_path / "twice.hist", tmp_path / "domains"
+    for argv in (["stats", "--in", str(conds)], ["stats", "--in", str(conds), "--out", str(hist)],
+                 ["expand", "--in", str(conds), "--out-dir", str(out_dir)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: line 3: 4444 repeats line 2\n"
+    assert sorted(tmp_path.iterdir()) == [conds]
+
+
 def test_check_command(capsys):
     code, outtext, _ = run_cli(capsys, "check", "--n", "4", "--rules", "2N3,2N1")
     assert code == 0

@@ -61,7 +61,7 @@ def test_expand_all_six_spot_checks():
 def test_expanded_orders_satisfy_their_conditions():
     a = Assignment.from_string("4334", 4)
     for o in expand(a):
-        for t, c in a.items():
+        for t, c in zip(core.all_triples(4), a.codes):
             assert core.satisfies(o, t, c)
 
 
@@ -96,7 +96,7 @@ def test_copious_domains_satisfy_exactly_their_assigned_condition():
             d = expand(a)
             if not is_copious(d):
                 continue
-            for t, c in a.items():
+            for t, c in zip(core.all_triples(4), a.codes):
                 assert satisfied_conditions(d, t) == {c}
 
 

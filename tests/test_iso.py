@@ -1,4 +1,9 @@
-"""Relabeling action on assignments and the canonicity tests."""
+"""Relabeling action on assignments and the canonicity tests.
+
+The action is taken from the oracle's independent ``_relabeled``; the
+package's own action, ``iso._transform_tables``, is checked against it in
+``test_oracle.py``.
+"""
 
 from itertools import permutations, product
 from math import comb
@@ -7,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgen import core, iso, oracle
+from cdgen import iso, oracle
 from cdgen.lexcode import Assignment, GREATER, lex_compare
 
 ALL_SIX = (1, 2, 3, 4, 5, 6)
@@ -18,38 +23,40 @@ def compose(g, h):
     return tuple(g[h[x - 1] - 1] for x in range(1, len(h) + 1))
 
 
-def test_apply_alt_fixes_beyond_domain():
-    g = (2, 1)
-    assert iso.apply_alt(g, 1) == 2
-    assert iso.apply_alt(g, 7) == 7
-    assert iso.apply_to_triple(g, (1, 2, 5)) == (1, 2, 5)
+def relabel(a, g, rules):
+    """The oracle's image of an assignment under g, or None outside the rules."""
+    image = oracle._relabeled(a.codes, a.n, g, frozenset(rules))
+    return None if image is None else Assignment(a.n, image)
 
 
-def test_position_map_is_a_permutation():
-    for g in permutations(range(1, 6)):
-        pm = iso.position_map((1, 3, 5), g)
-        assert sorted(pm) == [1, 2, 3]
+def induced(code, g):
+    """Image of one condition on the triple (1, 2, 3) under g, by the oracle
+    and by iso's tables, which must agree; 0 when it is degenerate."""
+    image = oracle._relabeled(bytes([code]), 3, g, frozenset(ALL_SIX))
+    _, code_map = iso._transform_tables(np.array([g], dtype=np.int8), 3)
+    assert code_map[0, 0, code] == (0 if image is None else image[0])
+    return 0 if image is None else image[0]
 
 
 def test_induced_condition_example():
     # swapping 1 and 2 swaps the roles of smallest and middle
     g = (2, 1, 3)
-    assert iso.induced_condition((1, 2, 3), 4, g) == 2  # 2N3 -> 1N3
-    assert iso.induced_condition((1, 2, 3), 2, g) == 4  # 1N3 -> 2N3
+    assert induced(4, g) == 2  # 2N3 -> 1N3
+    assert induced(2, g) == 4  # 1N3 -> 2N3
     # 1N2 maps the smallest onto rank 2: degenerate
-    assert iso.induced_condition((1, 2, 3), 1, g) == 0
+    assert induced(1, g) == 0
 
 
 def test_transform_identity():
     a = Assignment.from_string("4334", 4)
-    assert iso.transform(a, (1, 2, 3, 4), (3, 4)) == a
+    assert relabel(a, (1, 2, 3, 4), (3, 4)) == a
 
 
 def test_transform_rejects_images_outside_rules():
     a = Assignment.from_string("4", 3)
     # 2N3 under the 1<->2 swap becomes 1N3, which is outside {2N3, 2N1}
-    assert iso.transform(a, (2, 1, 3), (3, 4)) is None
-    assert iso.transform(a, (2, 1, 3), (2, 4)) is not None
+    assert relabel(a, (2, 1, 3), (3, 4)) is None
+    assert relabel(a, (2, 1, 3), (2, 4)) is not None
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,17 +66,17 @@ def test_transform_rejects_images_outside_rules():
     st.permutations(tuple(range(1, 5))),
 )
 def test_group_action_composition(codes, g, h):
-    """transform by h then g equals transform by the composite, whenever
+    """Relabeling by h then g equals relabeling by the composite, whenever
     both stages stay inside the rules."""
     a = Assignment(4, bytes(codes))
     g, h = tuple(g), tuple(h)
-    first = iso.transform(a, h, ALL_SIX)
+    first = relabel(a, h, ALL_SIX)
     if first is None:
         return
-    second = iso.transform(first, g, ALL_SIX)
+    second = relabel(first, g, ALL_SIX)
     if second is None:
         return
-    direct = iso.transform(a, compose(g, h), ALL_SIX)
+    direct = relabel(a, compose(g, h), ALL_SIX)
     assert direct == second
 
 
@@ -81,11 +88,11 @@ def test_group_action_composition(codes, g, h):
 def test_transform_inverse_restores(codes, g):
     a = Assignment(5, bytes(codes))
     g = tuple(g)
-    image = iso.transform(a, g, (2, 3))
+    image = relabel(a, g, (2, 3))
     if image is None:
         return
     inv = tuple(sorted(range(1, 6), key=lambda x: g[x - 1]))
-    assert iso.transform(image, inv, (2, 3)) == a
+    assert relabel(image, inv, (2, 3)) == a
 
 
 # Effect of swapping in-triple positions 1 and 2 on each condition code;
@@ -117,7 +124,7 @@ def test_partial_test_validates_prefix_shape():
 
 
 def test_partial_test_empty_prefix_passes():
-    assert iso.is_partially_lex_max(Assignment.empty(5), (3, 4))
+    assert iso.is_partially_lex_max(Assignment(5, bytes(10)), (3, 4))
 
 
 def test_partial_test_prunes_dominated_prefix():
@@ -161,7 +168,7 @@ def test_exact_gate_is_idempotent_across_the_orbit():
     for a in complete:
         images = {a}
         for g in permutations(range(1, n + 1)):
-            img = iso.transform(a, g, rules)
+            img = relabel(a, g, rules)
             if img is not None:
                 images.add(img)
         best = max(images, key=lambda x: x.encode())
@@ -172,15 +179,15 @@ def test_exact_gate_is_idempotent_across_the_orbit():
 
 def test_induced_condition_rank_swap_and_cycle():
     # swapping 2 and 3 moves the middle onto the top slot: 2N1 -> 3N1
-    assert iso.induced_condition((1, 2, 3), 3, (1, 3, 2)) == 5
+    assert induced(3, (1, 3, 2)) == 5
     # the 3-cycle sends the middle to the largest: 2N3 becomes 3N3, degenerate
-    assert iso.induced_condition((1, 2, 3), 4, (2, 3, 1)) == 0
+    assert induced(4, (2, 3, 1)) == 0
 
 
 def test_transform_finds_the_larger_representative():
     rules = (3, 5)
     low = Assignment.from_string("3", 3)
-    high = iso.transform(low, (1, 3, 2), rules)
+    high = relabel(low, (1, 3, 2), rules)
     assert high == Assignment.from_string("5", 3)
     assert lex_compare(high, low) == GREATER
     assert not iso.is_partially_lex_max(low, rules)
@@ -199,10 +206,9 @@ def test_partial_test_agrees_with_exact_gate_on_complete_assignments():
 
 
 def test_transform_orbits_match_relabeled_domains():
-    """Two four-pattern assignments are transform-equivalent exactly when
-    their expansions are relabelings of one another."""
+    """Two four-pattern assignments are relabelings of one another exactly
+    when their expansions are."""
     from cdgen import domain as dm
-    from cdgen import oracle
 
     n = 4
     perms = list(permutations(range(1, n + 1)))
@@ -216,7 +222,7 @@ def test_transform_orbits_match_relabeled_domains():
     def orbit_key(a):
         images = [a.encode()]
         for g in perms:
-            img = iso.transform(a, g, ALL_SIX)
+            img = relabel(a, g, ALL_SIX)
             if img is not None:
                 images.append(img.encode())
         return max(images)
@@ -224,7 +230,7 @@ def test_transform_orbits_match_relabeled_domains():
     def domain_key(a):
         orders = dm.expand(a).orders
         return min(
-            tuple(sorted(tuple(iso.apply_alt(g, x) for x in o) for o in orders))
+            tuple(sorted(tuple(g[x - 1] for x in o) for o in orders))
             for g in perms
         )
 
@@ -237,31 +243,25 @@ def test_transform_orbits_match_relabeled_domains():
 
 
 def _reference_full_support_partial(assignment, rules, k):
-    """Slow re-derivation of the three screening rules, for comparison."""
+    """Slow re-derivation of the three screening rules on the oracle's action.
+
+    The prefix is dominated when some g (a) carries it into the rules,
+    (c) onto the first k slots, (b) carries every rule on every open slot
+    into the rules, and makes it greater.
+    """
     n = assignment.n
-    codes = assignment.codes
-    triples = [core.triple_at(i, n) for i in range(comb(n, 3))]
-    allowed = set(rules)
+    prefix = assignment.codes
+    slots = len(prefix)
+    allowed = frozenset(rules)
     for g in permutations(range(1, n + 1)):
-        trans = bytearray(k)
-        ok = True
-        for i in range(k):
-            s = core.triple_index(iso.apply_to_triple(g, triples[i]), n)
-            c2 = iso.induced_condition(triples[i], codes[i], g)
-            if s >= k or c2 == 0 or c2 not in allowed:
-                ok = False
-                break
-            trans[s] = c2
-        for u in range(k, len(triples)):
-            if not ok:
-                break
-            pm = iso.position_map(triples[u], g)
-            for c in allowed:
-                i, j = core.CONDITION_PAIRS[c]
-                if pm[i - 1] == j or core.CONDITION_CODES[(pm[i - 1], j)] not in allowed:
-                    ok = False
-                    break
-        if ok and bytes(trans) > codes[:k]:
+        image = oracle._relabeled(prefix, n, g, allowed)
+        if image is None or 0 in image[:k] or image[:k] <= prefix[:k]:
+            continue
+        if all(
+            oracle._relabeled(bytes(u) + bytes([c]) + bytes(slots - u - 1), n, g, allowed) is not None
+            for u in range(k, slots)
+            for c in rules
+        ):
             return False
     return True
 
@@ -270,13 +270,14 @@ def test_full_support_partial_test_matches_reference():
     import random
 
     random.seed(202)
-    n, slots = 6, comb(6, 3)
-    for rules in [(2, 3), (3, 4), (2, 4), (5, 6), ALL_SIX]:
-        for _ in range(60):
-            k = random.randint(1, slots - 1)
-            codes = bytes([random.choice(rules) for _ in range(k)] + [0] * (slots - k))
-            a = Assignment(n, codes)
-            assert iso.is_partially_lex_max(a, rules) == _reference_full_support_partial(a, rules, k)
+    for n in (4, 5, 6):
+        slots = comb(n, 3)
+        for rules in [(2, 3), (3, 4), (2, 4), (2, 5), (5, 6), (1, 6), ALL_SIX]:
+            for _ in range(60):
+                k = random.randint(1, slots - 1)
+                codes = bytes([random.choice(rules) for _ in range(k)] + [0] * (slots - k))
+                a = Assignment(n, codes)
+                assert iso.is_partially_lex_max(a, rules) == _reference_full_support_partial(a, rules, k)
 
 
 def test_exact_gate_matches_oracle_canonical():
@@ -301,7 +302,7 @@ def test_acting_set_matches_brute_force():
         carried = [
             g
             for g in permutations(range(1, n + 1))
-            if any(iso.transform(a, g, rules) is not None for a in complete)
+            if any(relabel(a, g, rules) is not None for a in complete)
         ]
         assert iso.acting_set(n, rules) == carried
 

@@ -5,7 +5,6 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from cdgen import core
 from cdgen.lexcode import (
     Assignment,
     EQUAL,
@@ -21,7 +20,7 @@ from cdgen.lexcode import (
 
 
 def test_empty_assignment():
-    a = Assignment.empty(5)
+    a = Assignment(5, bytes(10))
     assert a.n == 5
     assert a.assigned_count == 0
     assert not a.is_complete
@@ -32,9 +31,7 @@ def test_from_string_round_trip():
     a = Assignment.from_string("4300", 4)
     assert a.encode() == "4300"
     assert a.assigned_count == 2
-    assert a.slot((1, 2, 3)) == 4
-    assert a.slot((1, 2, 4)) == 3
-    assert a.slot((1, 3, 4)) == 0
+    assert list(a.codes) == [4, 3, 0, 0]
 
 
 def test_from_string_infers_n():
@@ -43,11 +40,6 @@ def test_from_string_infers_n():
     assert Assignment.from_string("4" * 10).n == 5
     with pytest.raises(ValueError):
         Assignment.from_string("44")  # no n has C(n,3) == 2
-
-
-def test_from_dict():
-    a = Assignment.from_dict(4, {(1, 2, 3): 4, (2, 3, 4): 3})
-    assert a.encode() == "4003"
 
 
 def test_code_digits_above_6_are_refused():
@@ -59,29 +51,10 @@ def test_code_digits_above_6_are_refused():
     assert Assignment(4, b"\x06\x00\x01\x00").encode() == "6010"
 
 
-def test_with_slot_is_persistent():
-    a = Assignment.empty(4)
-    b = a.with_slot(0, 4)
-    assert a.encode() == "0000"
-    assert b.encode() == "4000"
-
-
-def test_support():
-    a = Assignment.from_string("4300", 4)
-    assert a.support() == frozenset({1, 2, 3, 4})
-    b = Assignment.from_string("4000", 4)
-    assert b.support() == frozenset({1, 2, 3})
-
-
 def test_colex_prefix_detection():
     assert Assignment.from_string("4430", 4).is_colex_prefix()
     assert Assignment.from_string("0000", 4).is_colex_prefix()
     assert not Assignment.from_string("4040", 4).is_colex_prefix()
-
-
-def test_items_iterates_assigned_slots_only():
-    a = Assignment.from_string("4030", 4)
-    assert list(a.items()) == [((1, 2, 3), 4), ((1, 3, 4), 3)]
 
 
 def test_lex_compare_examples():
@@ -93,7 +66,7 @@ def test_lex_compare_examples():
 
 def test_lex_compare_rejects_mixed_n():
     with pytest.raises(ValueError):
-        lex_compare(Assignment.empty(4), Assignment.empty(5))
+        lex_compare(Assignment(4, bytes(4)), Assignment(5, bytes(10)))
 
 
 @given(
@@ -129,7 +102,7 @@ def test_extending_a_prefix_increases_lex_order(prefix_codes, next_code):
     n = 5
     k = len(prefix_codes)
     shorter = Assignment(n, bytes(prefix_codes) + bytes(num_slots(n) - k))
-    longer = shorter.with_slot(k, next_code)
+    longer = Assignment(n, bytes(prefix_codes) + bytes([next_code]) + bytes(num_slots(n) - k - 1))
     assert lex_compare(longer, shorter) == GREATER
 
 
@@ -164,6 +137,12 @@ def test_file_round_trip():
 def test_read_assignments_rejects_wrong_length_line():
     buf = io.StringIO(header_line(4, (3, 4)) + "\n444\n")
     with pytest.raises(ValueError):
+        read_assignments(buf)
+
+
+def test_read_assignments_rejects_a_repeated_code_string():
+    buf = io.StringIO(header_line(4, (3, 4)) + "\n4444\n4334\n\n4444\n")
+    with pytest.raises(ValueError, match="line 5: 4444 repeats line 2"):
         read_assignments(buf)
 
 

@@ -1,8 +1,9 @@
 """The brute-force oracle, and the search engine checked against it."""
 
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
+import numpy as np
 import pytest
 
 from cdgen import iso, oracle
@@ -28,17 +29,20 @@ def test_four_pattern_screen():
 
 
 def test_relabeled_matches_iso_transform():
-    from itertools import permutations, product
-
-    for codes in product((2, 3), repeat=4):
-        a = Assignment(4, bytes(codes))
-        for g in permutations(range(1, 5)):
-            mine = oracle._relabeled(bytes(codes), 4, g, frozenset((2, 3)))
-            theirs = iso.transform(a, g, (2, 3))
-            if theirs is None:
-                assert mine is None
-            else:
-                assert mine == theirs.codes
+    """iso's action tables and the oracle's independent action give the same
+    image of every assignment over n=4, partial ones included, under every
+    permutation of S_4."""
+    perms = list(permutations(range(1, 5)))
+    slot_map, code_map = iso._transform_tables(np.array(perms, dtype=np.int8), 4)
+    for rules in [(2, 3), ALL_SIX]:
+        allowed = frozenset(rules)
+        for codes in product((0,) + rules, repeat=4):
+            for gi, g in enumerate(perms):
+                image = bytearray(4)
+                for s, c in enumerate(codes):
+                    image[slot_map[gi, s]] = code_map[gi, s, c]
+                kept = all(image[slot_map[gi, s]] in allowed for s, c in enumerate(codes) if c)
+                assert oracle._relabeled(bytes(codes), 4, g, allowed) == (bytes(image) if kept else None)
 
 
 def test_orbit_stabilizer_invariant():
@@ -74,9 +78,9 @@ def test_canonicals_pass_exact_gate_and_others_fail():
         # regenerate one full orbit and check the non-representatives fail
         sample = reports[0].canonical
         for g in permutations(range(1, 5)):
-            img = iso.transform(sample, g, rules)
-            if img is not None and img not in canon:
-                assert not iso.is_canonical_complete(img, rules)
+            img = oracle._relabeled(sample.codes, 4, g, frozenset(rules))
+            if img is not None and Assignment(4, img) not in canon:
+                assert not iso.is_canonical_complete(Assignment(4, img), rules)
 
 
 def test_enumeration_guard():

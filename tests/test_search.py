@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from cdgen import core, domain, iso, search
+from cdgen import core, domain, iso, oracle, search
 from cdgen.lexcode import Assignment
 from cdgen.search import SearchConfig, SearchStats, generate, resume, run_search
 
@@ -200,7 +200,7 @@ def test_resume_rejects_bad_prefixes():
         resume(cfg, "4" * 11, lambda h: None)  # longer than the slot count
     with pytest.raises(ValueError):
         resume(cfg, Assignment.from_string("4", 3), lambda h: None)  # wrong n
-    gapped = Assignment.from_dict(5, {(1, 3, 4): 4})
+    gapped = Assignment.from_string("0040000000", 5)  # 2N3 on (1, 3, 4) only
     with pytest.raises(ValueError):
         resume(cfg, gapped, lambda h: None)
     # a dominated prefix: once the support is full, 1N2 everywhere loses to
@@ -401,7 +401,7 @@ def test_pairwise_non_isomorphic():
     for h in hits:
         orbit = set()
         for g in permutations(range(1, 5)):
-            img = iso.transform(h.assignment, g, (2, 5))
+            img = oracle._relabeled(h.assignment.codes, 4, g, frozenset((2, 5)))
             if img is not None:
                 orbit.add(img)
         assert not (orbit & seen)
