@@ -4,14 +4,12 @@ from .core import (
     ALL_CONDITIONS,
     CONDITION_NAMES,
     CONDITION_PAIRS,
-    condition_code,
     parse_condition,
     parse_rules,
     restrict,
     rules_token,
     satisfies,
     triple_at,
-    triple_index,
 )
 from .domain import (
     Domain,
@@ -24,7 +22,7 @@ from .domain import (
     satisfied_conditions,
 )
 from .iso import is_canonical_complete, is_partially_lex_max
-from .lexcode import Assignment, lex_compare
+from .lexcode import Assignment
 from .oracle import brute_force_classes, brute_force_orbits, cross_check
 from .search import SearchConfig, SearchHit, SearchStats, generate, resume, run_search
 
@@ -42,7 +40,6 @@ __all__ = [
     "__version__",
     "brute_force_classes",
     "brute_force_orbits",
-    "condition_code",
     "cross_check",
     "expand",
     "expand_size",
@@ -53,7 +50,6 @@ __all__ = [
     "is_maximal",
     "is_partially_lex_max",
     "is_unitary",
-    "lex_compare",
     "parse_condition",
     "parse_rules",
     "restrict",
@@ -63,5 +59,4 @@ __all__ = [
     "satisfied_conditions",
     "satisfies",
     "triple_at",
-    "triple_index",
 ]

@@ -105,7 +105,7 @@ class _Output:
                 for chunk in iter(lambda: fh.read(1 << 20), b""):
                     digest.update(chunk)
         self.manifest.write_text(_manifest_text(self.fields, digest.hexdigest()))
-        for path in dict.fromkeys(self.paths):  # a path opened twice is renamed once
+        for path in self.paths:
             os.replace(_partial(path), path)
 
 

@@ -25,14 +25,6 @@ CONDITION_NAMES = {code: f"{i}N{j}" for code, (i, j) in CONDITION_PAIRS.items()}
 ALL_CONDITIONS = (1, 2, 3, 4, 5, 6)
 
 
-def condition_code(i: int, j: int) -> int:
-    """Code of the condition iNj, or raise for an invalid pair."""
-    try:
-        return CONDITION_CODES[(i, j)]
-    except KeyError:
-        raise ValueError(f"no valid never condition {i}N{j}") from None
-
-
 def parse_condition(token: str) -> int:
     """Parse a token like '2N3' (case-insensitive) into a condition code."""
     t = token.strip().upper()
@@ -79,21 +71,8 @@ def check_rules(rules) -> tuple[int, ...]:
 # Triples in co-lexicographic order.
 
 
-def check_triple(t, n: int) -> tuple[int, int, int]:
-    a, b, c = t
-    if not (1 <= a < b < c <= n):
-        raise ValueError(f"{t!r} is not an ascending triple over 1..{n}")
-    return (a, b, c)
-
-
-def triple_index(t, n: int) -> int:
-    """Co-lex rank of an ascending triple among all triples over 1..n."""
-    a, b, c = check_triple(t, n)
-    return comb(c - 1, 3) + comb(b - 1, 2) + (a - 1)
-
-
 def triple_at(k: int, n: int) -> tuple[int, int, int]:
-    """The triple with co-lex rank k (inverse of triple_index)."""
+    """The triple with co-lex rank k among all triples over 1..n."""
     if not (0 <= k < comb(n, 3)):
         raise ValueError(f"triple rank {k} out of range for n={n}")
     c = 3

@@ -181,27 +181,19 @@ def is_copious(domain: Domain) -> bool:
     return True
 
 
-def is_maximal(domain: Domain, cells: int = 9) -> bool:
+def is_maximal(domain: Domain) -> bool:
     """True iff no order can be added while keeping majorities transitive.
 
     An extension survives iff every triple still has some never condition
-    satisfied by all members.  With cells=9 all nine (i, j) pairs count;
-    with cells=6 only the six valid ones do.  The two agree on any domain
-    containing the ascending order, which already rules the degenerate
-    cells out.
+    satisfied by all members.  All nine (i, j) cells count; on a domain
+    containing the ascending order the three degenerate ones are already
+    ruled out, so only the six valid conditions remain.
     """
     n = domain.n
     if n > 9:
         raise ValueError("is_maximal enumerates all n! candidates and is capped at n <= 9")
-    if cells not in (6, 9):
-        raise ValueError("cells must be 6 or 9")
     triples = core.all_triples(n)
-    masks = []
-    for t in triples:
-        kept = satisfied_cells(domain, t)
-        if cells == 6:
-            kept = {cell for cell in kept if cell in core.CONDITION_CODES}
-        masks.append(kept)
+    masks = [satisfied_cells(domain, t) for t in triples]
     if any(not m for m in masks):
         raise ValueError("not a Condorcet domain: some triple satisfies no condition")
     for cand in permutations(range(1, n + 1)):

@@ -10,34 +10,19 @@ set; the class enforces the first and leaves the second to callers.
 
 from __future__ import annotations
 
+import functools
 from math import comb
-from typing import Iterable
 
 from . import core
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-_NUM_SLOTS = {}  # n -> C(n,3)
-
 
 def num_slots(n: int) -> int:
-    if n not in _NUM_SLOTS:
-        if n < 3:
-            raise ValueError(f"need at least 3 alternatives, got n={n}")
-        _NUM_SLOTS[n] = comb(n, 3)
-    return _NUM_SLOTS[n]
+    if n < 3:
+        raise ValueError(f"need at least 3 alternatives, got n={n}")
+    return comb(n, 3)
 
 
-def n_for_length(length: int) -> int:
-    """The n with C(n,3) == length, or raise."""
-    n = 3
-    while comb(n, 3) < length:
-        n += 1
-    if comb(n, 3) != length:
-        raise ValueError(f"{length} is not C(n,3) for any n")
-    return n
-
-
+@functools.total_ordering
 class Assignment:
     """An immutable (possibly partial) assignment of conditions to triples."""
 
@@ -52,9 +37,7 @@ class Assignment:
         self.codes = bytes(codes)
 
     @classmethod
-    def from_string(cls, digits: str, n: int | None = None) -> "Assignment":
-        if n is None:
-            n = n_for_length(len(digits))
+    def from_string(cls, digits: str, n: int) -> "Assignment":
         return cls(n, bytes(int(ch) for ch in digits))
 
     def encode(self) -> str:
@@ -70,10 +53,9 @@ class Assignment:
         return hash((self.n, self.codes))
 
     def __lt__(self, other: "Assignment") -> bool:
-        return lex_compare(self, other) == LESS
-
-    def __le__(self, other: "Assignment") -> bool:
-        return lex_compare(self, other) != GREATER
+        if self.n != other.n:
+            raise ValueError(f"assignments over different n: {self.n} vs {other.n}")
+        return self.codes < other.codes
 
     @property
     def assigned_count(self) -> int:
@@ -87,17 +69,6 @@ class Assignment:
         """True iff the assigned slots are exactly 0..k-1 for some k."""
         k = self.assigned_count
         return 0 not in self.codes[:k]
-
-
-def lex_compare(a: Assignment, b: Assignment) -> int:
-    """LESS/EQUAL/GREATER comparison of code strings, left to right."""
-    if a.n != b.n:
-        raise ValueError(f"assignments over different n: {a.n} vs {b.n}")
-    if a.codes < b.codes:
-        return LESS
-    if a.codes > b.codes:
-        return GREATER
-    return EQUAL
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +97,6 @@ def parse_header(line: str) -> tuple[int, tuple[int, ...]]:
     except ValueError:
         raise ValueError(f"header field n={fields['n']!r} is not an integer") from None
     return n, core.parse_rules(fields["rules"])
-
-
-def write_assignments(fh, n: int, rules: tuple[int, ...], assignments: Iterable[Assignment]) -> int:
-    """Write header plus one code string per line; returns the line count."""
-    fh.write(header_line(n, rules) + "\n")
-    count = 0
-    for a in assignments:
-        if a.n != n:
-            raise ValueError(f"assignment over n={a.n} in a file for n={n}")
-        fh.write(a.encode() + "\n")
-        count += 1
-    return count
 
 
 def read_assignments(fh) -> tuple[int, tuple[int, ...], list[Assignment]]:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 from . import core
 from .lexcode import Assignment
 
-ENUMERATION_GUARD = 10**9
+ENUMERATION_GUARD = 10**7  # assignments times n!, the permutations each one is tried under
 
 
 def _relabeled(codes: bytes, n: int, g: tuple[int, ...], allowed: frozenset[int]) -> bytes | None:
@@ -76,9 +76,10 @@ class CheckResult:
 def _all_assignments(n: int, rules: tuple[int, ...]):
     slots = comb(n, 3)
     total = len(rules) ** slots
-    if total > ENUMERATION_GUARD:
+    if total * factorial(n) > ENUMERATION_GUARD:
         raise ValueError(
-            f"brute force would enumerate {total} assignments (guard {ENUMERATION_GUARD})"
+            f"brute force would try {total} assignments x {n}! relabelings, "
+            f"above its bound of {ENUMERATION_GUARD}"
         )
     for combo in product(sorted(rules), repeat=slots):
         yield bytes(combo)
@@ -109,6 +110,18 @@ def realizes_four_patterns(codes: bytes, n: int) -> bool:
     return True
 
 
+def _images(codes: bytes, n: int, rules: tuple[int, ...]) -> dict[bytes, int]:
+    """Each image of an assignment under the n! relabelings that keep it
+    inside the rules, with how many relabelings reach it."""
+    allowed = frozenset(rules)
+    images: dict[bytes, int] = {}
+    for g in permutations(range(1, n + 1)):
+        img = _relabeled(codes, n, g, allowed)
+        if img is not None:
+            images[img] = images.get(img, 0) + 1
+    return images
+
+
 def orbit_of(codes: bytes, n: int, rules: tuple[int, ...]) -> OrbitReport:
     """Orbit data for one complete assignment.
 
@@ -116,21 +129,13 @@ def orbit_of(codes: bytes, n: int, rules: tuple[int, ...]) -> OrbitReport:
     rule-respecting steps gives a permutation whose direct image is the same
     final assignment, which lies inside the rules by construction.
     """
-    allowed = frozenset(rules)
-    images = {}
-    acting = 0
-    for g in permutations(range(1, n + 1)):
-        img = _relabeled(codes, n, g, allowed)
-        if img is not None:
-            acting += 1
-            images[img] = images.get(img, 0) + 1
-    report = OrbitReport(
+    images = _images(codes, n, rules)
+    return OrbitReport(
         canonical=Assignment(n, max(images)),
         orbit_size=len(images),
         stabilizer_size=images[codes],
-        acting_count=acting,
+        acting_count=sum(images.values()),
     )
-    return report
 
 
 def brute_force_orbits(n: int, rules: tuple[int, ...]) -> list[OrbitReport]:
@@ -148,12 +153,7 @@ def brute_force_orbits(n: int, rules: tuple[int, ...]) -> list[OrbitReport]:
             continue
         if not realizes_four_patterns(codes, n):
             continue
-        allowed = frozenset(rules)
-        images = {}
-        for g in permutations(range(1, n + 1)):
-            img = _relabeled(codes, n, g, allowed)
-            if img is not None:
-                images[img] = images.get(img, 0) + 1
+        images = _images(codes, n, rules)
         seen.update(images)
         canonical = max(images)
         reports[canonical] = OrbitReport(

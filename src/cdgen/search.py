@@ -222,20 +222,15 @@ def generate(cfg: SearchConfig, sink) -> SearchStats:
 def resume(cfg: SearchConfig, prefix, sink) -> SearchStats:
     """Run only the subtree under a code prefix (for partitioned runs).
 
-    The prefix must use codes from the rule set, fill a co-lex prefix of
-    the slots, and pass the partial lex-max test at every depth; a prefix
-    that fails is rejected with ValueError since its subtree would never
-    be reached by a full run.  Unions of runs over a partition of prefixes
+    The prefix is a digit string such as ``"4433"`` or the same codes as
+    bytes, one per slot from slot 0 on.  It must use codes from the rule
+    set and pass the partial lex-max test at every depth; a prefix that
+    fails is rejected with ValueError since its subtree would never be
+    reached by a full run.  Unions of runs over a partition of prefixes
     reproduce the full output exactly.
     """
     start = perf_counter()
-    if isinstance(prefix, Assignment):
-        if prefix.n != cfg.n:
-            raise ValueError(f"prefix is for n={prefix.n}, config wants n={cfg.n}")
-        if not prefix.is_colex_prefix():
-            raise ValueError("prefix assignment must fill a co-lex prefix of the slots")
-        codes = bytes(prefix.codes[: prefix.assigned_count])
-    elif isinstance(prefix, str):
+    if isinstance(prefix, str):
         if not set(prefix.strip()) <= set("0123456789"):
             raise ValueError(f"prefix {prefix!r} must be a string of condition digits")
         codes = bytes(int(ch) for ch in prefix.strip())

@@ -196,6 +196,17 @@ def test_check_command(capsys):
     assert "EQUAL (5 classes)" in outtext
 
 
+def test_check_refuses_a_brute_force_past_its_bound(capsys):
+    """2^20 assignments, each tried under 720 relabelings, would run for half
+    an hour; check fails before the oracle enumerates any of them."""
+    code, out, err = run_cli(capsys, "check", "--n", "6", "--rules", "2N3,2N1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: brute force would try 1048576 assignments x 6! relabelings, "
+        "above its bound of 10000000\n"
+    )
+
+
 def test_missing_input_file_is_reported(tmp_path, capsys):
     code, _, err = run_cli(capsys, "stats", "--in", str(tmp_path / "nope.conds"))
     assert code == 1

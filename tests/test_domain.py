@@ -118,21 +118,10 @@ def test_is_maximal_known_cases():
     assert is_maximal(expand(Assignment.from_string("4", 3)))
     d = Domain(3, [(1, 2, 3), (2, 1, 3), (2, 3, 1)])
     assert not is_maximal(d)
-    # single-peaked on the natural axis: maximal, either cell convention
+    # single-peaked on the natural axis
     sp = expand(Assignment.from_string("4444", 4))
     assert len(sp) == 8
     assert is_maximal(sp)
-    assert is_maximal(sp, cells=6)
-
-
-def test_maximality_cell_conventions_agree_for_small_n():
-    """Counting 9 cells or only the 6 off-diagonal ones gives the same
-    verdict on every pair-rule expansion up to n=5."""
-    for rules in [(3, 4), (2, 5), (2, 3)]:
-        for n in (4, 5):
-            for codes in product(rules, repeat=comb(n, 3)):
-                d = expand(Assignment(n, bytes(codes)))
-                assert is_maximal(d, cells=9) == is_maximal(d, cells=6)
 
 
 def test_expand_matches_filter_sampled_n5():
@@ -155,9 +144,8 @@ def test_expand_matches_filter_sampled_n6_n7():
 
 
 def test_is_maximal_guards():
-    d = expand(Assignment.from_string("4", 3))
-    with pytest.raises(ValueError):
-        is_maximal(d, cells=7)
+    with pytest.raises(ValueError, match="not a Condorcet domain"):
+        is_maximal(Domain(3, permutations((1, 2, 3))))
     with pytest.raises(ValueError, match=r"capped at n <= 9"):
         is_maximal(Domain(10, [tuple(range(1, 11))]))
 

@@ -5,17 +5,13 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from cdgen import cli
 from cdgen.lexcode import (
     Assignment,
-    EQUAL,
-    GREATER,
-    LESS,
     header_line,
-    lex_compare,
     num_slots,
     parse_header,
     read_assignments,
-    write_assignments,
 )
 
 
@@ -32,14 +28,6 @@ def test_from_string_round_trip():
     assert a.encode() == "4300"
     assert a.assigned_count == 2
     assert list(a.codes) == [4, 3, 0, 0]
-
-
-def test_from_string_infers_n():
-    assert Assignment.from_string("4").n == 3
-    assert Assignment.from_string("4444").n == 4
-    assert Assignment.from_string("4" * 10).n == 5
-    with pytest.raises(ValueError):
-        Assignment.from_string("44")  # no n has C(n,3) == 2
 
 
 def test_code_digits_above_6_are_refused():
@@ -59,14 +47,16 @@ def test_colex_prefix_detection():
 
 def test_lex_compare_examples():
     n = 4
-    assert lex_compare(Assignment.from_string("4444", n), Assignment.from_string("4443", n)) == GREATER
-    assert lex_compare(Assignment.from_string("3444", n), Assignment.from_string("4111", n)) == LESS
-    assert lex_compare(Assignment.from_string("4444", n), Assignment.from_string("4444", n)) == EQUAL
+    assert Assignment.from_string("4444", n) > Assignment.from_string("4443", n)
+    assert Assignment.from_string("3444", n) < Assignment.from_string("4111", n)
+    assert Assignment.from_string("4444", n) == Assignment.from_string("4444", n)
+    assert Assignment.from_string("4444", n) <= Assignment.from_string("4444", n)
 
 
 def test_lex_compare_rejects_mixed_n():
-    with pytest.raises(ValueError):
-        lex_compare(Assignment(4, bytes(4)), Assignment(5, bytes(10)))
+    for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(ValueError, match="assignments over different n: 4 vs 5"):
+            compare(Assignment(4, bytes(4)), Assignment(5, bytes(10)))
 
 
 @given(
@@ -76,11 +66,12 @@ def test_lex_compare_rejects_mixed_n():
 def test_lex_compare_is_a_total_order(xs, ys):
     a = Assignment(5, bytes(xs))
     b = Assignment(5, bytes(ys))
-    ab, ba = lex_compare(a, b), lex_compare(b, a)
-    assert ab == -ba
-    assert (ab == EQUAL) == (a == b)
+    # trichotomy: exactly one of <, ==, > holds, and > is < reversed
+    assert [a < b, a == b, a > b].count(True) == 1
+    assert (a > b) == (b < a)
+    assert (a <= b) == (not a > b)
     # comparison agrees with the digit strings
-    assert (a.encode() < b.encode()) == (ab == LESS)
+    assert (a.encode() < b.encode()) == (a < b)
 
 
 @given(
@@ -90,8 +81,8 @@ def test_lex_compare_is_a_total_order(xs, ys):
 )
 def test_lex_compare_is_transitive(xs, ys, zs):
     a, b, c = (Assignment(4, bytes(v)) for v in (xs, ys, zs))
-    if lex_compare(a, b) != GREATER and lex_compare(b, c) != GREATER:
-        assert lex_compare(a, c) != GREATER
+    if a <= b and b <= c:
+        assert a <= c
 
 
 @given(
@@ -103,7 +94,7 @@ def test_extending_a_prefix_increases_lex_order(prefix_codes, next_code):
     k = len(prefix_codes)
     shorter = Assignment(n, bytes(prefix_codes) + bytes(num_slots(n) - k))
     longer = Assignment(n, bytes(prefix_codes) + bytes([next_code]) + bytes(num_slots(n) - k - 1))
-    assert lex_compare(longer, shorter) == GREATER
+    assert longer > shorter
 
 
 def test_header_round_trip():
@@ -123,15 +114,18 @@ def test_parse_header_rejects_junk():
             parse_header(good.replace("n=8", f"n={value}"))
 
 
-def test_file_round_trip():
-    items = [Assignment.from_string("4444", 4), Assignment.from_string("4334", 4)]
-    buf = io.StringIO()
-    count = write_assignments(buf, 4, (3, 4), items)
-    assert count == 2
-    buf.seek(0)
-    n, rules, back = read_assignments(buf)
-    assert (n, rules) == (4, (3, 4))
-    assert back == items
+def test_file_round_trip(tmp_path, capsys):
+    """read_assignments reads back the file that `cdgen generate --out` writes."""
+    out = tmp_path / "n5.conds"
+    assert cli.main(["generate", "--n", "5", "--rules", "2N3,2N1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    with open(out) as fh:
+        n, rules, back = read_assignments(fh)
+    assert (n, rules) == (5, (3, 4))
+    assert lines[0] == header_line(5, (3, 4))
+    assert [a.encode() for a in back] == lines[1:]
+    assert len(back) == 36 and back == sorted(back)
 
 
 def test_read_assignments_rejects_wrong_length_line():

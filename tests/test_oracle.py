@@ -88,6 +88,15 @@ def test_enumeration_guard():
         list(oracle._all_assignments(9, ALL_SIX))
 
 
+def test_enumeration_guard_counts_relabelings():
+    """The bound is on assignments x n!: n=5 with three rules (3^10 x 120)
+    still runs, n=5 with four rules and n=6 with a pair do not."""
+    assert next(oracle._all_assignments(5, (2, 3, 4))) == bytes([2] * 10)
+    for n, rules in [(5, (1, 2, 3, 4)), (6, (3, 4))]:
+        with pytest.raises(ValueError, match="above its bound of 10000000"):
+            next(oracle._all_assignments(n, rules))
+
+
 def test_cross_check_small():
     for n, rules in [(3, (3, 4)), (4, (3, 4)), (3, ALL_SIX), (4, (2, 5)), (4, (2, 3))]:
         result = oracle.cross_check(n, rules)

@@ -188,8 +188,9 @@ def test_resume_accepts_assignment_prefix():
     full, _ = run_search(cfg)
     want = [h for h in full if h.code_string.startswith("44")]
     prefix = Assignment.from_string("44" + "0" * 8, 5)
-    got, _ = run_search(cfg, prefix=prefix)
+    got, _ = run_search(cfg, prefix=prefix.codes[: prefix.assigned_count])
     assert codes_of(got) == codes_of(want)
+    assert codes_of(run_search(cfg, prefix="44")[0]) == codes_of(want)
 
 
 def test_resume_rejects_bad_prefixes():
@@ -198,11 +199,9 @@ def test_resume_rejects_bad_prefixes():
         resume(cfg, "42", lambda h: None)  # 2 is outside the rules
     with pytest.raises(ValueError):
         resume(cfg, "4" * 11, lambda h: None)  # longer than the slot count
-    with pytest.raises(ValueError):
-        resume(cfg, Assignment.from_string("4", 3), lambda h: None)  # wrong n
-    gapped = Assignment.from_string("0040000000", 5)  # 2N3 on (1, 3, 4) only
-    with pytest.raises(ValueError):
-        resume(cfg, gapped, lambda h: None)
+    # 2N3 on (1, 3, 4) only: the open slots before it read as code 0
+    with pytest.raises(ValueError, match="prefix code 0 is outside the rule set 2N1,2N3"):
+        resume(cfg, "0040000000", lambda h: None)
     # a dominated prefix: once the support is full, 1N2 everywhere loses to
     # its own relabelings, and a full run would never enter that subtree
     with pytest.raises(ValueError):
@@ -216,7 +215,7 @@ def test_resume_rejects_bad_prefixes():
 
 def test_resume_on_a_complete_prefix():
     """A complete prefix reaches the leaf without rec's per-child checks, so
-    the leaf's own pattern check decides whether its domain exists."""
+    _Engine.run's all-slot cover check decides whether its domain exists."""
     cfg = SearchConfig(n=5, rules=(3, 4))
     full, _ = run_search(cfg)
     assert len(full) == 36
