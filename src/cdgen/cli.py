@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import os
 import platform
+import resource
 import sys
 from collections import Counter
 from pathlib import Path
@@ -109,6 +110,13 @@ class _Output:
             os.replace(_partial(path), path)
 
 
+def _peak_rss_mb() -> float:
+    """The largest resident set of this process or of any worker it has
+    waited for (a ``--threads`` pool), in MB."""
+    peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB on Linux
+
+
 def _search(args, cfg: SearchConfig, fh):
     """Run the search, writing its hits to ``fh`` in ``args.format``."""
     sizes: Counter[int] = Counter()
@@ -151,13 +159,14 @@ def _cmd_generate(args) -> int:
                 leaves_emitted=stats.leaves_emitted,
                 nodes_visited=stats.nodes_visited,
                 nodes_pruned=stats.nodes_pruned,
+                peak_rss_mb=f"{_peak_rss_mb():.1f}",
             )
     else:
         stats = _search(args, cfg, sys.stdout)
     print(
         f"emitted {stats.leaves_emitted} classes "
         f"({stats.nodes_visited} nodes, {stats.nodes_pruned} pruned, "
-        f"{stats.wall_time:.2f}s)",
+        f"{stats.wall_time:.2f}s, peak RSS {_peak_rss_mb():.1f} MB)",
         file=sys.stderr,
     )
     return 0

@@ -52,29 +52,28 @@ def extend_rows(pd, pat, m):
     """Insert alternative m+1 at every position of every order of 1..m.
 
     pd holds one order per row and pat the pattern bits of each row on
-    every triple over 1..m.  Returns both for 1..m+1: an insertion leaves
-    the old patterns alone, so only the columns of the new triples are
-    computed.
+    every triple over 1..m.  Returns both for 1..m+1, row r's insertion at
+    position p in row r*(m+1) + p.  An insertion leaves the old patterns
+    alone, so only the columns of the new triples are computed, from the
+    old positions of a < b alone: a still precedes b as before, and it
+    precedes the newcomer exactly when its old position is below p.
     """
     e = m + 1
     rows = pd.shape[0]
-    pdn = np.empty((rows * e, e), dtype=np.int8)
-    for p in range(e):
-        pdn[p::e, :p] = pd[:, :p]
-        pdn[p::e, p] = e
-        pdn[p::e, p + 1 :] = pd[:, p:]
-    patn = np.repeat(pat, e, axis=0)
-    pos = np.empty((rows * e, e), dtype=np.int8)
-    np.put_along_axis(
-        pos,
-        pdn.astype(np.int64) - 1,
-        np.broadcast_to(np.arange(e, dtype=np.int8), pdn.shape),
-        axis=1,
-    )
+    # source[p, i]: the column of pd, or m for the newcomer, at position i after inserting at p
+    i, p = np.arange(e), np.arange(e)[:, None]
+    source = np.where(i < p, i, i - 1)
+    np.fill_diagonal(source, m)
+    pdn = np.concatenate([pd, np.full((rows, 1), e, dtype=np.int8)], axis=1)[:, source].reshape(rows * e, e)
+    pos = np.empty_like(pd)
+    np.put_along_axis(pos, pd.astype(np.intp) - 1, np.arange(m, dtype=np.int8)[None, :], axis=1)
     # the new triples (a+1, b+1, m+1) in co-lex order: b ascending, then a
     b, a = np.tril_indices(m, -1)
-    pa, pb, pc = pos[:, a], pos[:, b], pos[:, m : m + 1]
-    patn[:, comb(m, 3) : comb(e, 3)] = _RANK_BIT[4 * (pa < pb) + 2 * (pa < pc) + (pb < pc)]
+    pa, pb = pos[:, None, a], pos[:, None, b]
+    at = np.arange(e, dtype=np.int8)[None, :, None]
+    key = (pa < pb).view(np.uint8) << 2 | (pa < at).view(np.uint8) << 1 | (pb < at).view(np.uint8)
+    patn = np.repeat(pat, e, axis=0)
+    patn.reshape(rows, e, pat.shape[1])[:, :, comb(m, 3) : comb(e, 3)] = _RANK_BIT[key]
     return pdn, patn
 
 

@@ -20,7 +20,8 @@ acting set is built once per (n, rules) by a depth-first search over
 partial permutations, without visiting all of S_n: at n=8 it has 2, 34
 and 8 members for 2N3,2N1, 1N3,3N1 and 1N3,2N1, against 8! = 40320.  Both
 canonicity tests are one dominance test over the rows of that set,
-:func:`dominated`, which the search engine calls on its own codes.
+:func:`dominated`, which the search engine calls on the codes of a whole
+frontier level at once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .lexcode import Assignment
 # or 2N1,3N1 keeps a rule on every triple under every relabeling, so from
 # n=9 on its acting set is all of S_n and the tables would take gigabytes.
 ACTING_CAP = factorial(8)
+
+# Most entries of the prefix x relabeling x slot image tensor that
+# :func:`dominated` builds at once; a larger frontier is taken in pieces.
+IMAGE_BUDGET = 1 << 16
 
 
 def is_partially_lex_max(assignment: Assignment, rules: tuple[int, ...]) -> bool:
@@ -62,7 +67,7 @@ def is_partially_lex_max(assignment: Assignment, rules: tuple[int, ...]) -> bool
     if outside := set(assignment.codes[:k]) - set(rules):
         raise ValueError(f"assigned code {min(outside)} is outside the rule set")
     prefix = np.frombuffer(assignment.codes, dtype=np.uint8, count=k)
-    return not dominated(prefix, acting_tables(assignment.n, rules))
+    return not dominated(prefix[None, :], acting_tables(assignment.n, rules))[0]
 
 
 def is_canonical_complete(assignment: Assignment, rules: tuple[int, ...]) -> bool:
@@ -165,8 +170,10 @@ _ACTING_CACHE = {}
 def acting_tables(n: int, rules: tuple[int, ...]):
     """Dominance tables over the acting set of (n, rules), built once.
 
-    Returns (source, code_map, candidates, in_rules).  source[g, s] is the
-    slot that g carries onto slot s.  candidates[k] lists the rows that
+    Returns (source, code_map, candidates).  source[g, s] is the slot that
+    g carries onto slot s.  code_map is :func:`_transform_tables`' table
+    with every image outside the rules set to 0, so an image is valid
+    exactly when it holds no 0.  candidates[k] lists the rows that
     satisfy rules (b) and (c) for a prefix of k slots and move some
     alternative of its support; a row fixing the support yields the prefix
     itself, which is never greater.
@@ -180,8 +187,9 @@ def acting_tables(n: int, rules: tuple[int, ...]):
         np.put_along_axis(source, slot_map, np.arange(slots)[None, :], axis=1)
         in_rules = np.zeros(7, dtype=bool)
         in_rules[list(key[1])] = True
+        code_map = np.where(in_rules[code_map], code_map, np.int8(0))
         keeps_prefix = np.maximum.accumulate(slot_map, axis=1) < np.arange(1, slots + 1)
-        rules_stay = in_rules[code_map[..., list(key[1])]].all(axis=-1)
+        rules_stay = code_map[..., list(key[1])].all(axis=-1)
         keeps_suffix = np.ones((count, slots + 1), dtype=bool)
         keeps_suffix[:, :-1] = np.logical_and.accumulate(rules_stay[:, ::-1], axis=1)[:, ::-1]
         fixes = np.logical_and.accumulate(perms == np.arange(1, n + 1), axis=1)
@@ -190,20 +198,34 @@ def acting_tables(n: int, rules: tuple[int, ...]):
             m = core.triple_at(k - 1, n)[2]
             rows = keeps_prefix[:, k - 1] & keeps_suffix[:, k] & ~fixes[:, m - 1]
             candidates.append(np.flatnonzero(rows))
-        _ACTING_CACHE[key] = (source, code_map, candidates, in_rules)
+        _ACTING_CACHE[key] = (source, code_map, candidates)
     return _ACTING_CACHE[key]
 
 
-def dominated(prefix: np.ndarray, tables) -> bool:
-    """True when a candidate row of :func:`acting_tables` maps the uint8 code
-    prefix, taken as valid, into the rules and onto a greater prefix."""
-    source, code_map, candidates, in_rules = tables
-    k = len(prefix)
+def dominated(prefixes: np.ndarray, tables) -> np.ndarray:
+    """For each row of an (F, k) uint8 matrix of code prefixes, taken as
+    valid: whether a candidate row of :func:`acting_tables` maps it into
+    the rules and onto a greater prefix.  Returns F bools.
+
+    The images of all prefixes under all G candidates form an F x G x k
+    tensor, built IMAGE_BUDGET entries at a time, in prefix order.  A
+    valid image, like a prefix, holds no 0 byte, so comparing the two as
+    byte strings compares them as code strings.
+    """
+    source, code_map, candidates = tables
+    count, k = prefixes.shape
     rows = candidates[k]
+    out = np.zeros(count, dtype=bool)
     if rows.size == 0:
-        return False
+        return out
     src = source[rows, :k]
-    image = code_map[rows[:, None], src, prefix[src]]
-    image = image[in_rules[image].all(axis=1)]
-    first = (image != prefix).argmax(axis=1)
-    return bool((image[np.arange(len(image)), first] > prefix[first]).any())
+    # code_map[g, s, c] as one flat index: (g * slots + s) * 7 + c
+    base = ((rows[:, None] * code_map.shape[1] + src) * 7).astype(np.int32)
+    flat = code_map.reshape(-1)
+    step = max(1, IMAGE_BUDGET // base.size)
+    for lo in range(0, count, step):
+        prefix = np.ascontiguousarray(prefixes[lo : lo + step])
+        image = np.ascontiguousarray(flat[base + prefix[:, src]])
+        greater = image.view(f"S{k}")[..., 0] > prefix.view(f"S{k}")
+        out[lo : lo + step] = (greater & image.all(axis=2)).any(axis=1)
+    return out

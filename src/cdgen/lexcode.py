@@ -53,6 +53,8 @@ class Assignment:
         return hash((self.n, self.codes))
 
     def __lt__(self, other: "Assignment") -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError(f"assignments over different n: {self.n} vs {other.n}")
         return self.codes < other.codes

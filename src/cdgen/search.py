@@ -1,33 +1,51 @@
-"""Orderly depth-first generation of canonical complete condition sets.
+"""Orderly generation of canonical complete condition sets, a level at a time.
 
-The search walks triple slots in co-lex order while carrying the partial
-domain: the orders of 1..m (m = largest alternative seen so far) that
-satisfy every condition assigned yet, as a numpy matrix with one row per
-order and, alongside it, the pattern bits of each row on every slot (one
-bit per pattern on in-support slots, 0 beyond them; C(n,3) columns padded
-to a multiple of 8, see :mod:`cdgen.domain`).  A search starts from
-:func:`cdgen.domain.replay` of its code prefix, the one walk from codes to
-rows: empty for a full run, the ``--prefix`` of a partitioned run, or the
-subtree prefix a pool worker is handed.  When the slot index reaches
+The search walks triple slots in co-lex order while carrying, for each
+node, its partial domain: the orders of 1..m (m = largest alternative
+seen so far) that satisfy every condition assigned yet, as a numpy matrix
+with one row per order and, alongside it, the pattern bits of each row on
+every slot (one bit per pattern on in-support slots, 0 beyond them; C(n,3)
+columns padded to a multiple of 8, see :mod:`cdgen.domain`).  A search
+starts from :func:`cdgen.domain.replay` of its code prefix, the one walk
+from codes to rows: empty for a full run, the ``--prefix`` of a
+partitioned run, or the subtree prefix a pool worker is handed.
+
+The engine expands a whole frontier level with a fixed set of numpy
+calls, whatever its width.  A level holds the code prefixes of its F
+nodes as an (F, k) matrix and the rows of all of them concatenated, each
+row tagged with the index of its node.  When the slot index k reaches
 C(m, 3) the support grows by one alternative through
 :func:`cdgen.domain.extend_rows`, the row extension the replay uses: each
 row spawns m+1 rows by inserting the newcomer at every position, which
-leaves patterns on old slots untouched.
+leaves patterns on old slots untouched.  Between two extensions a child
+only drops rows, so a level holds row indices into the matrices of the
+last extension rather than copies of the rows.  The children of a level
+are gathered in (node, code) order, so the next level, and the stream of
+hits, stay in ascending code-string order.
 
-Pruning is twofold.  First, pattern-mask feasibility, one check per
-child: the OR of the surviving rows' pattern bits, taken over uint64
-words, must cover some rule's four-pattern set on every in-support slot,
-otherwise no completion expands to a domain with four patterns on every
-triple.  On a completed slot the bits are a subset of its condition's
-four, and the six four-pattern sets are distinct, so there the check
-holds exactly when all four patterns the condition allows are retained.
-Each such set holds both orders of every pair, so a support extension of
-a passing child shows all six patterns on every new slot and needs no
-check.  Second, canonicity: :func:`cdgen.iso.dominated` on the codes
-buffer for a child that leaves slots open, and the exact gate for the
-child that fills the last slot, so each leaf is decided once.  At a
-surviving leaf the carried matrix IS the expanded domain; the hit holds
-those int8 rows.
+Memory is bounded by ROW_BUDGET: a level whose rows, after any support
+extension, would exceed it is split into two halves of its nodes, and the
+first half's subtrees are searched to the end before the second's.  A
+single node is never split.
+
+Pruning is twofold.  First, pattern-mask feasibility: for each child, the
+OR of its rows' pattern bits, taken over uint64 words with one reduceat
+over the whole level, must cover some rule's four-pattern set on every
+in-support slot, otherwise no completion expands to a domain with four
+patterns on every triple.  On a completed slot the bits are a subset of
+its condition's four, and the six four-pattern sets are distinct, so
+there the check holds exactly when all four patterns the condition allows
+are retained.  Each such set holds both orders of every pair, so a
+support extension of a passing child shows all six patterns on every new
+slot and needs no check.  Second, canonicity: one :func:`cdgen.iso.dominated`
+call over the codes of every feasible child that leaves slots open, and
+the exact gate for each child that fills the last slot, so each leaf is
+decided once.  At a surviving leaf the carried rows ARE the expanded
+domain; the hit holds those int8 rows.
+
+Counting stays per node: a level adds its width to ``nodes_visited`` and
+each child that fails a check adds one to ``nodes_pruned``, so the
+counters do not depend on how levels are split.
 
 Both canonicity tests run over the acting set of the rule set (see
 :mod:`cdgen.iso`), which is tiny for the standard rule pairs; rule sets
@@ -50,6 +68,10 @@ from . import core
 from .domain import SAT, Domain, extend_rows, pattern_sets, replay
 from .iso import acting_tables, dominated, is_canonical_complete, is_partially_lex_max
 from .lexcode import Assignment
+
+# Most rows one frontier level holds; a larger level is split in node order
+# and each half searched in turn, so hits still stream in code order.
+ROW_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -91,7 +113,7 @@ class SearchHit:
 
 
 class _Engine:
-    """Single-subtree DFS; mutable codes buffer, immutable row matrices."""
+    """Searches one subtree a frontier level at a time; self.codes holds its root's prefix."""
 
     def __init__(self, cfg: SearchConfig):
         self.n = cfg.n
@@ -103,6 +125,7 @@ class _Engine:
         self.collected: list[bytes] = []
         self.codes = np.zeros(self.slots, dtype=np.uint8)
         self.tables = acting_tables(cfg.n, cfg.rules)
+        self.rule_codes = np.array(cfg.rules, dtype=np.uint8)
         self.cover = np.array(
             [
                 any(mask & core.SAT_MASKS[c] == core.SAT_MASKS[c] for c in self.rules)
@@ -132,38 +155,81 @@ class _Engine:
         return extend_rows(pd, pat, m)
 
     def rec(self, k, m, pd, pat):
-        if k == self.collect_at:
-            # a scout hands this node to a worker, which counts it
-            self.collected.append(self.codes[:k].tobytes())
-            return
-        self.stats.nodes_visited += 1
-        if m < self.n and k == comb(m, 3):
-            pd, pat = self._extend(pd, pat, m)
-            m += 1
-        if k == self.slots:
-            # feasibility and the exact gate have run: in the loop one level up, or in run and resume
-            self.stats.leaves_emitted += 1
-            self.sink(SearchHit(Assignment(self.n, self.codes.tobytes()), pd))
-            return
-        col = pat[:, k]
+        """Search the subtree of the node self.codes[:k], whose rows are pd and pat."""
+        codes = self.codes[None, :k].copy()
+        rows = np.arange(len(pd), dtype=np.int32)
+        self._level(k, m, codes, pd, pat, rows, np.zeros(len(pd), dtype=np.int32))
+
+    def _level(self, k, m, codes, pd, pat, rows, owner):
+        """Search the subtrees of a frontier at depth k, in order, one level a step.
+
+        codes holds one node's code prefix per row.  pd and pat are the
+        orders and pattern bits as of the last support extension, and the
+        frontier keeps their rows ``rows``, those of node i where owner == i:
+        below an extension a child only drops rows, so no level copies them.
+        """
+        while len(codes):
+            if k == self.collect_at:
+                # a scout hands these nodes to workers, which count them
+                self.collected.extend(row.tobytes() for row in codes)
+                return
+            width = len(codes)
+            grow = m < self.n and k == comb(m, 3)
+            if width > 1 and len(rows) * (m + 1 if grow else 1) > ROW_BUDGET:
+                half = width // 2
+                cut = np.searchsorted(owner, half)
+                self._level(k, m, codes[:half], pd, pat, rows[:cut], owner[:cut])
+                self._level(k, m, codes[half:], pd, pat, rows[cut:], owner[cut:] - half)
+                return
+            self.stats.nodes_visited += width
+            if grow:
+                pd, pat = self._extend(np.take(pd, rows, axis=0), np.take(pat, rows, axis=0), m)
+                rows = np.arange(len(pd), dtype=np.int32)
+                owner = np.repeat(owner, m + 1)
+                m += 1
+            if k == self.slots:
+                # feasibility and the exact gate have run: one level up, or in run and resume
+                self.stats.leaves_emitted += width
+                starts = np.searchsorted(owner, np.arange(width + 1))
+                for i, row in enumerate(codes):
+                    hit_rows = pd[rows[starts[i] : starts[i + 1]]]
+                    self.sink(SearchHit(Assignment(self.n, row.tobytes()), hit_rows))
+                return
+            codes, rows, owner = self._children(k, m, codes, pat, rows, owner)
+            k += 1
+
+    def _children(self, k, m, codes, pat, rows, owner):
+        """The frontier at depth k + 1: every child that passes both checks,
+        in (parent, code) order, with the rows it keeps."""
+        width, fan = len(codes), len(self.rules)
+        # child i * fan + j keeps the rows of node i whose pattern on slot k rule j allows
+        rule, at = np.nonzero((pat[rows, k] & SAT[self.rule_codes][:, None]) != 0)
+        child = owner[at] * fan + rule
+        order = np.argsort(child, kind="stable")
+        at, child = at[order], child[order]
+        starts = np.searchsorted(child, np.arange(width * fan + 1))
+        ok = starts[:-1] < starts[1:]
         live = comb(m, 3)
-        for code in self.rules:
-            sel = (col & SAT[code]) != 0
-            pat2 = pat[sel]
-            self.codes[k] = code
-            if not self.cover[pattern_sets(pat2)[:live]].all():
-                self.stats.nodes_pruned += 1
-                continue
-            if k + 1 == self.slots:
-                # an Assignment, by this name: perfbench/tracer.py hooks it, test_bench_contract calls for it
-                ok = is_canonical_complete(Assignment(self.n, self.codes.tobytes()), self.rules)
-            else:
-                ok = not dominated(self.codes[: k + 1], self.tables)
-            if not ok:
-                self.stats.nodes_pruned += 1
-                continue
-            self.rec(k + 1, m, pd[sel], pat2)
-        self.codes[k] = 0
+        # np.take gathers whole rows several times faster than fancy indexing
+        words = np.take(pat.view(np.uint64), rows[at], axis=0)[:, : -(-live // 8)]
+        shown = np.bitwise_or.reduceat(words, starts[:-1][ok])
+        ok[ok] = self.cover[shown.view(np.uint8)[:, :live]].all(axis=1)
+        children = np.empty((width * fan, k + 1), dtype=np.uint8)
+        children[:, :k] = np.repeat(codes, fan, axis=0)
+        children[:, k] = np.tile(self.rule_codes, width)
+        tested = np.flatnonzero(ok)
+        if k + 1 == self.slots:
+            # an Assignment per child, by this name: perfbench/tracer.py hooks it, test_bench_contract calls for it
+            ok[tested] = [
+                is_canonical_complete(Assignment(self.n, children[c].tobytes()), self.rules)
+                for c in tested
+            ]
+        else:
+            ok[tested] = ~dominated(children[tested], self.tables)
+        self.stats.nodes_pruned += len(ok) - np.count_nonzero(ok)
+        keep = ok[child]
+        rank = np.cumsum(ok, dtype=np.int32) - 1
+        return children[ok], rows[at[keep]], rank[child[keep]]
 
 
 def _subtree_worker(job):

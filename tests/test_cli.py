@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ def test_generate_conditions_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "generate", "--n", "4", "--rules", "2N3,2N1", "--out", str(out))
     assert code == 0
     assert "emitted 5 classes" in err
+    assert re.search(r", peak RSS \d+\.\d MB\)$", err.strip())
     with open(out) as fh:
         n, rules, assignments = read_assignments(fh)
     assert (n, rules) == (4, (3, 4))
@@ -236,7 +238,7 @@ def test_manifests_share_one_format(tmp_path, capsys):
     }
     own_keys = {
         "generate": ["prefix", "format", "thread_count", "wall_time_s", "leaves_emitted",
-                     "nodes_visited", "nodes_pruned"],
+                     "nodes_visited", "nodes_pruned", "peak_rss_mb"],
         "stats": ["classes"],
         "expand": ["domains"],
     }
@@ -250,6 +252,7 @@ def test_manifests_share_one_format(tmp_path, capsys):
     assert environments[0] == environments[1] == environments[2]
     generated = manifests["generate"][0]
     assert (generated["prefix"], generated["format"], generated["leaves_emitted"]) == ("4", "conditions", "4")
+    assert float(generated["peak_rss_mb"]) > 0
     assert manifests["stats"][0]["classes"] == manifests["expand"][0]["domains"] == "4"
     assert not list(tmp_path.rglob("*.partial"))
 

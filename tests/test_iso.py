@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgen import iso, oracle
+from cdgen import iso, oracle, search
 from cdgen.lexcode import Assignment
 
 ALL_SIX = (1, 2, 3, 4, 5, 6)
@@ -317,7 +317,7 @@ def test_acting_set_sizes():
 
 
 def test_dominated_on_engine_codes_matches_partial_test():
-    """``dominated`` on a uint8 view of the engine's codes buffer gives the
+    """``dominated`` on a one-row uint8 matrix of codes gives the
     verdict of the validating entry point, with no special case: nothing
     is dominated at k = 0 or under a single rule.  At n <= 5 both also
     agree with the brute-force reference."""
@@ -333,9 +333,46 @@ def test_dominated_on_engine_codes_matches_partial_test():
                 codes = np.zeros(slots, dtype=np.uint8)
                 codes[:k] = [rng.choice(rules) for _ in range(k)]
                 a = Assignment(n, codes.tobytes())
-                verdict = iso.dominated(codes[:k], tables)
+                verdict = iso.dominated(codes[None, :k], tables)[0]
                 assert verdict == (not iso.is_partially_lex_max(a, rules))
                 if k == 0 or len(rules) == 1:
                     assert not verdict
                 if n <= 5:
                     assert verdict == (not _reference_full_support_partial(a, rules, k))
+
+
+@pytest.mark.parametrize("rules", [(3, 4), (2, 5), (2, 3), ALL_SIX])
+def test_dominated_over_a_frontier(rules, monkeypatch):
+    """One call over a whole frontier gives each row's own verdict.
+
+    The frontier at depth k holds the co-lex prefixes of length k of every
+    member of every emitted class at n=5, so it mixes dominated prefixes
+    with canonical ones.  Row by row and by the brute-force reference,
+    every verdict is checked for the rule pairs and every 32nd for all six
+    conditions (G = 120).
+    """
+    n, slots = 5, comb(5, 3)
+    tables = iso.acting_tables(n, rules)
+    classes = [h.assignment.codes for h in search.run_search(search.SearchConfig(n=n, rules=rules))[0]]
+    members = sorted({image for codes in classes for image in oracle._images(codes, n, rules)})
+    stride = 32 if len(rules) == 6 else 1
+    for k in range(slots + 1):
+        prefixes = sorted({codes[:k] for codes in members})
+        frontier = np.frombuffer(b"".join(prefixes), dtype=np.uint8).reshape(len(prefixes), k)
+        verdicts = iso.dominated(frontier, tables)
+        assert verdicts.shape == (len(prefixes),)
+        for row, prefix, verdict in list(zip(frontier, prefixes, verdicts))[::stride]:
+            assert iso.dominated(row[None, :], tables)[0] == verdict
+            a = Assignment(n, prefix + bytes(slots - k))
+            assert verdict == (not _reference_full_support_partial(a, rules, k))
+        with monkeypatch.context() as patched:
+            # an image tensor over budget is built three prefixes at a time
+            patched.setattr(iso, "IMAGE_BUDGET", 3 * len(tables[2][k]) * k + 1)
+            assert iso.dominated(frontier, tables).tolist() == verdicts.tolist()
+        if k == slots:
+            assert verdicts.sum() == len(members) - len(classes)
+    assert not iso.dominated(np.zeros((0, slots), dtype=np.uint8), tables).any()
+    # at depth 1 no candidate moves the support {1, 2, 3} and keeps every
+    # open slot's conditions in the rules, so nothing there is dominated
+    assert len(tables[2][1]) == 0
+    assert not iso.dominated(np.array([[c] for c in rules], dtype=np.uint8), tables).any()

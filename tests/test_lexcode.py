@@ -59,6 +59,17 @@ def test_lex_compare_rejects_mixed_n():
             compare(Assignment(4, bytes(4)), Assignment(5, bytes(10)))
 
 
+def test_lex_compare_with_another_type_is_a_type_error():
+    a = Assignment(3, b"\x04")
+    for compare in (lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
+        for other in (5, b"\x04", "4"):
+            with pytest.raises(TypeError):
+                compare(a, other)
+            with pytest.raises(TypeError):
+                compare(other, a)
+    assert a != 5 and a != b"\x04"
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=6), min_size=10, max_size=10),
     st.lists(st.integers(min_value=0, max_value=6), min_size=10, max_size=10),

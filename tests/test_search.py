@@ -41,21 +41,66 @@ def test_known_class_counts_n5():
         assert stats.leaves_emitted == want
 
 
-@pytest.mark.parametrize(
-    "n, rules, classes, visited, pruned, sha256",
-    [
-        (6, "2N3,2N1", 461, 4568, 3647, "d2371c804079c071779d08af859e90ac5f27eab3e31ee61078397a92b3e7af0d"),
-        (6, "1N3,3N1", 559, 5596, 4479, "23a76b2846c8fdd69704b69075675087c544f3febcae7074164ec6009f4c3b1b"),
-        (6, "1N3,2N1", 93, 1172, 987, "93fa3a8cf72aaa42ca3d1ec3794c7f3171ccf58db1933a5365435e9e5a61280e"),
-        (7, "1N3,2N1", 552, 11111, 10008, "9214c02ec5f120964e3851a1d82200222fb497e54ae0b9363da4eab635cef400"),
-    ],
-)
-def test_fixed_points(n, rules, classes, visited, pruned, sha256):
-    """Class count, node counters and the code-string stream of four runs."""
+# (n, rules, classes, nodes_visited, nodes_pruned, sha256 of the code-string stream)
+FIXED_POINTS = [
+    (6, "2N3,2N1", 461, 4568, 3647, "d2371c804079c071779d08af859e90ac5f27eab3e31ee61078397a92b3e7af0d"),
+    (6, "1N3,3N1", 559, 5596, 4479, "23a76b2846c8fdd69704b69075675087c544f3febcae7074164ec6009f4c3b1b"),
+    (6, "1N3,2N1", 93, 1172, 987, "93fa3a8cf72aaa42ca3d1ec3794c7f3171ccf58db1933a5365435e9e5a61280e"),
+    (7, "1N3,2N1", 552, 11111, 10008, "9214c02ec5f120964e3851a1d82200222fb497e54ae0b9363da4eab635cef400"),
+    # large enough that the engine splits its frontier levels at the default row budget
+    (7, "2N3,2N1", 12428, 164221, 139366, "4a788738a8b87f9443604a03987d39b620252dfddf67f801604ae73ab201aa0a"),
+    (7, "1N3,3N1", 12588, 212965, 187790, "ffe1ff20afae2efa345937f75dfee8e30f4bd1cc99471361c017f01fd5f66dab"),
+]
+
+
+def check_fixed_point(n, rules, classes, visited, pruned, sha256):
     hits, stats = run_search(SearchConfig(n=n, rules=core.parse_rules(rules)))
     assert (len(hits), stats.nodes_visited, stats.nodes_pruned) == (classes, visited, pruned)
     stream = "".join(h.code_string + "\n" for h in hits)
     assert hashlib.sha256(stream.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("n, rules, classes, visited, pruned, sha256", FIXED_POINTS)
+def test_fixed_points(n, rules, classes, visited, pruned, sha256):
+    """Class count, node counters and the code-string stream of six runs."""
+    check_fixed_point(n, rules, classes, visited, pruned, sha256)
+
+
+@pytest.fixture
+def split_to_single_nodes(monkeypatch):
+    """A row budget of 1: every frontier level splits down to single nodes.
+    Returns the widths of the levels the engine searched unsplit."""
+    widths = []
+    children = search._Engine._children
+
+    def counting_children(self, k, m, codes, *rows):
+        widths.append(len(codes))
+        return children(self, k, m, codes, *rows)
+
+    monkeypatch.setattr(search, "ROW_BUDGET", 1)
+    monkeypatch.setattr(search._Engine, "_children", counting_children)
+    return widths
+
+
+@pytest.mark.parametrize("n, rules, classes, visited, pruned, sha256", FIXED_POINTS[:4])
+def test_fixed_points_hold_when_every_level_splits(
+    split_to_single_nodes, n, rules, classes, visited, pruned, sha256
+):
+    check_fixed_point(n, rules, classes, visited, pruned, sha256)
+    assert set(split_to_single_nodes) == {1}
+
+
+def test_collected_prefixes_hold_when_every_level_splits(monkeypatch):
+    def collect(depth):
+        engine = search._Engine(SearchConfig(n=7, rules=core.parse_rules("1N3,3N1")))
+        engine.collect_at = depth
+        engine.rec(*engine.root_state())
+        return engine.collected
+
+    whole = collect(20)
+    assert len(whole) == 1325
+    monkeypatch.setattr(search, "ROW_BUDGET", 1)
+    assert collect(20) == whole
 
 
 def test_extend_rows_pattern_bits_match_restrict():
