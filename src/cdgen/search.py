@@ -202,18 +202,7 @@ class _Engine:
         """The frontier at depth k + 1: every child that passes both checks,
         in (parent, code) order, with the rows it keeps."""
         width, fan = len(codes), len(self.rules)
-        # child i * fan + j keeps the rows of node i whose pattern on slot k rule j allows
-        rule, at = np.nonzero((pat[rows, k] & SAT[self.rule_codes][:, None]) != 0)
-        child = owner[at] * fan + rule
-        order = np.argsort(child, kind="stable")
-        at, child = at[order], child[order]
-        starts = np.searchsorted(child, np.arange(width * fan + 1))
-        ok = starts[:-1] < starts[1:]
-        live = comb(m, 3)
-        # np.take gathers whole rows several times faster than fancy indexing
-        words = np.take(pat.view(np.uint64), rows[at], axis=0)[:, : -(-live // 8)]
-        shown = np.bitwise_or.reduceat(words, starts[:-1][ok])
-        ok[ok] = self.cover[shown.view(np.uint8)[:, :live]].all(axis=1)
+        at, child, ok = self._feasible(k, m, pat, rows, owner, width * fan)
         children = np.empty((width * fan, k + 1), dtype=np.uint8)
         children[:, :k] = np.repeat(codes, fan, axis=0)
         children[:, k] = np.tile(self.rule_codes, width)
@@ -230,6 +219,27 @@ class _Engine:
         keep = ok[child]
         rank = np.cumsum(ok, dtype=np.int32) - 1
         return children[ok], rows[at[keep]], rank[child[keep]]
+
+    def _feasible(self, k, m, pat, rows, owner, count):
+        """The cover check of all ``count`` children of a level.
+
+        Returns the children's rows as positions ``at`` into ``rows``, in
+        child order, each with its child ``i * len(rules) + j``, and
+        whether each child passes.  Child j of node i keeps the rows of
+        node i whose pattern on slot k rule j allows.
+        """
+        rule, at = np.nonzero((pat[rows, k] & SAT[self.rule_codes][:, None]) != 0)
+        child = owner[at] * len(self.rules) + rule
+        order = np.argsort(child, kind="stable")
+        at, child = at[order], child[order]
+        starts = np.searchsorted(child, np.arange(count + 1))
+        ok = starts[:-1] < starts[1:]
+        live = comb(m, 3)
+        # np.take gathers whole rows several times faster than fancy indexing
+        words = np.take(pat.view(np.uint64), rows[at], axis=0)[:, : -(-live // 8)]
+        shown = np.bitwise_or.reduceat(words, starts[:-1][ok])
+        ok[ok] = self.cover[shown.view(np.uint8)[:, :live]].all(axis=1)
+        return at, child, ok
 
 
 def _subtree_worker(job):
