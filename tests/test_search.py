@@ -47,7 +47,7 @@ FIXED_POINTS = [
     (6, "1N3,3N1", 559, 5596, 4479, "23a76b2846c8fdd69704b69075675087c544f3febcae7074164ec6009f4c3b1b"),
     (6, "1N3,2N1", 93, 1172, 987, "93fa3a8cf72aaa42ca3d1ec3794c7f3171ccf58db1933a5365435e9e5a61280e"),
     (7, "1N3,2N1", 552, 11111, 10008, "9214c02ec5f120964e3851a1d82200222fb497e54ae0b9363da4eab635cef400"),
-    # large enough that the engine splits its frontier levels at the default row budget
+    # the costliest n=7 runs: at the default row budget they split hundreds of frontier levels
     (7, "2N3,2N1", 12428, 164221, 139366, "4a788738a8b87f9443604a03987d39b620252dfddf67f801604ae73ab201aa0a"),
     (7, "1N3,3N1", 12588, 212965, 187790, "ffe1ff20afae2efa345937f75dfee8e30f4bd1cc99471361c017f01fd5f66dab"),
 ]
