@@ -229,9 +229,13 @@ class _Engine:
         node i whose pattern on slot k rule j allows.
         """
         rule, at = np.nonzero((pat[rows, k] & SAT[self.rule_codes][:, None]) != 0)
-        child = owner[at] * len(self.rules) + rule
+        child = owner[at] * len(self.rules)
+        child += rule  # in place, so the sort keys stay int32
+        # index arrays go as soon as they are used up: with the gathered words they set a level's peak memory
+        del rule
         order = np.argsort(child, kind="stable")
         at, child = at[order], child[order]
+        del order
         starts = np.searchsorted(child, np.arange(count + 1))
         ok = starts[:-1] < starts[1:]
         live = comb(m, 3)
