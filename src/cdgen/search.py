@@ -208,7 +208,8 @@ class _Engine:
         children[:, k] = np.tile(self.rule_codes, width)
         tested = np.flatnonzero(ok)
         if k + 1 == self.slots:
-            # an Assignment per child, by this name: perfbench/tracer.py hooks it, test_bench_contract calls for it
+            # an Assignment per child, by this name: perfbench/tracer.py hooks it,
+            # test_bench_contract calls for it
             ok[tested] = [
                 is_canonical_complete(Assignment(self.n, children[c].tobytes()), self.rules)
                 for c in tested
