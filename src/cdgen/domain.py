@@ -256,9 +256,11 @@ def read_domain(fh) -> Domain:
         n = int(fields["n"])
     except ValueError:
         raise ValueError(f"domain header field n={fields['n']!r} is not an integer") from None
-    source = None
-    if fields.get("source") not in (None, "unknown"):
-        source = Assignment.from_string(fields["source"], n)
+    source = fields.get("source", "unknown")
+    try:
+        source = None if source == "unknown" else Assignment.from_string(source, n)
+    except ValueError:
+        raise ValueError(f"domain header field source={source!r} is not a code string for n={n}") from None
     orders: dict[tuple[int, ...], int] = {}  # order -> its line
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()

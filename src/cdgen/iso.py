@@ -20,8 +20,8 @@ acting set is built once per (n, rules) by a depth-first search over
 partial permutations, without visiting all of S_n: at n=8 it has 2, 34
 and 8 members for 2N3,2N1, 1N3,3N1 and 1N3,2N1, against 8! = 40320.  Both
 canonicity tests are one dominance test over the rows of that set,
-:func:`dominated`, which the search engine calls on the codes of a whole
-frontier level at once.
+:func:`dominated`, which the search engine calls once per frontier level
+at every depth, so that one call decides the leaves too.
 """
 
 from __future__ import annotations

@@ -38,10 +38,10 @@ there the check holds exactly when all four patterns the condition allows
 are retained.  Each such set holds both orders of every pair, so a
 support extension of a passing child shows all six patterns on every new
 slot and needs no check.  Second, canonicity: one :func:`cdgen.iso.dominated`
-call over the codes of every feasible child that leaves slots open, and
-the exact gate for each child that fills the last slot, so each leaf is
-decided once.  At a surviving leaf the carried rows ARE the expanded
-domain; the hit holds those int8 rows.
+call over the codes of every feasible child, at every depth.  For a child
+that fills the last slot this is the exact test, so each leaf is decided
+once.  At a surviving leaf the carried rows ARE the expanded domain; the
+hit holds those int8 rows.
 
 Counting stays per node: a level adds its width to ``nodes_visited`` and
 each child that fails a check adds one to ``nodes_pruned``, so the
@@ -188,7 +188,7 @@ class _Engine:
                 owner = np.repeat(owner, m + 1)
                 m += 1
             if k == self.slots:
-                # feasibility and the exact gate have run: one level up, or in run and resume
+                # feasibility and canonicity were checked one level up, or in run and resume
                 self.stats.leaves_emitted += width
                 starts = np.searchsorted(owner, np.arange(width + 1))
                 for i, row in enumerate(codes):
@@ -206,16 +206,7 @@ class _Engine:
         children = np.empty((width * fan, k + 1), dtype=np.uint8)
         children[:, :k] = np.repeat(codes, fan, axis=0)
         children[:, k] = np.tile(self.rule_codes, width)
-        tested = np.flatnonzero(ok)
-        if k + 1 == self.slots:
-            # an Assignment per child, by this name: perfbench/tracer.py hooks it,
-            # test_bench_contract calls for it
-            ok[tested] = [
-                is_canonical_complete(Assignment(self.n, children[c].tobytes()), self.rules)
-                for c in tested
-            ]
-        else:
-            ok[tested] = ~dominated(children[tested], self.tables)
+        ok[ok] = ~dominated(children[ok], self.tables)
         self.stats.nodes_pruned += len(ok) - np.count_nonzero(ok)
         keep = ok[child]
         rank = np.cumsum(ok, dtype=np.int32) - 1
@@ -325,7 +316,9 @@ def resume(cfg: SearchConfig, prefix, sink) -> SearchStats:
             raise ValueError(f"prefix code {c} is outside the rule set {core.rules_token(cfg.rules)}")
     for depth in range(1, len(codes) + 1):
         partial = Assignment(cfg.n, codes[:depth] + bytes(slots - depth))
-        if not is_partially_lex_max(partial, cfg.rules):
+        # the same verdict at full length, under the name perfbench/tracer.py hooks
+        test = is_canonical_complete if depth == slots else is_partially_lex_max
+        if not test(partial, cfg.rules):
             raise ValueError(
                 f"prefix {partial.encode()[:depth]} fails the partial lex-max test at depth {depth}"
             )

@@ -32,9 +32,12 @@ def test_tracer_reports_every_per_layer_metric(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracer
 
-    conds, orders, hist, stats = (tmp_path / name for name in ("c", "o", "h", "s"))
+    conds, orders, hist, stats, leaf = (tmp_path / name for name in ("c", "o", "h", "s", "l"))
     commands = [
         ["generate", "--n", "6", "--rules", "1N3,2N1", "--prefix", "3", "--out", str(conds)],
+        # a complete prefix: resume's exact check is the one caller of the iso.gate hook
+        ["generate", "--n", "6", "--rules", "1N3,2N1", "--prefix", "22222222222222223333",
+         "--out", str(leaf)],
         ["generate", "--n", "5", "--rules", "1N3,3N1", "--format", "orders", "--out", str(orders)],
         ["stats", "--in", str(conds), "--out", str(stats)],
         ["generate", "--n", "6", "--rules", "1N3,2N1", "--threads", "2", "--format", "histogram",
@@ -48,7 +51,7 @@ def test_tracer_reports_every_per_layer_metric(tmp_path, monkeypatch, capsys):
         codes = [traced_main(argv) for argv in commands]
     finally:
         t.uninstall()
-    assert codes == [0, 0, 0, 0], capsys.readouterr().err
+    assert codes == [0, 0, 0, 0, 0], capsys.readouterr().err
     calls = t.calls + t.remote_calls
     called = ["iso.partial", "iso.gate", "search.extend", "domain.materialize",
               "lexcode.read", "domain.histogram", "parallel.merge"]

@@ -202,6 +202,8 @@ def test_read_domain_rejects_missing_header():
     [
         ("# source=4", "domain header is missing the n= field"),
         ("# n=x source=4", "domain header field n='x' is not an integer"),
+        ("# n=3 source=4x", "domain header field source='4x' is not a code string for n=3"),
+        ("# n=3 source=44", "domain header field source='44' is not a code string for n=3"),
     ],
 )
 def test_read_domain_rejects_a_bad_n_field(header, message):

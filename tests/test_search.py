@@ -160,25 +160,26 @@ def test_extension_below_a_feasible_block_boundary_shows_every_pattern():
             assert passing
 
 
-def test_interior_children_build_no_assignment(monkeypatch):
-    """Only the last-slot gate and the hits build an Assignment; the
-    screen of every other child runs on the engine's codes."""
+def test_interior_children_build_no_assignment(monkeypatch, in_process_pool):
+    """The engine builds one Assignment per hit and none for the children it
+    screens, the last slot's included: serially and through the pool, every
+    canonicity test runs on the engine's codes, never the exact gate."""
     built, gated = [], []
-    init, gate = Assignment.__init__, search.is_canonical_complete
+    init = Assignment.__init__
 
     def counting_init(self, *args):
         built.append(1)
         init(self, *args)
 
-    def counting_gate(*args):
-        gated.append(1)
-        return gate(*args)
-
     monkeypatch.setattr(Assignment, "__init__", counting_init)
-    monkeypatch.setattr(search, "is_canonical_complete", counting_gate)
-    hits, stats = run_search(SearchConfig(n=6, rules=core.parse_rules("1N3,3N1")))
-    assert len(hits) == stats.leaves_emitted == 559
-    assert 0 < len(built) <= len(gated) + stats.leaves_emitted < stats.nodes_visited
+    monkeypatch.setattr(search, "is_canonical_complete", lambda *args: gated.append(1))
+    for threads in (1, 2):
+        built.clear()
+        cfg = SearchConfig(n=6, rules=core.parse_rules("1N3,3N1"), thread_count=threads)
+        stats = generate(cfg, lambda hit: None)
+        assert len(built) == stats.leaves_emitted == 559
+    assert in_process_pool == [2]
+    assert gated == []
 
 
 def test_runs_are_deterministic():
@@ -249,8 +250,11 @@ def test_resume_rejects_bad_prefixes():
         resume(cfg, "0040000000", lambda h: None)
     # a dominated prefix: once the support is full, 1N2 everywhere loses to
     # its own relabelings, and a full run would never enter that subtree
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at depth 4"):
         resume(SearchConfig(n=4, rules=ALL_SIX), "1111", lambda h: None)
+    # a complete prefix that only the exact test at full length rejects
+    with pytest.raises(ValueError, match="fails the partial lex-max test at depth 10"):
+        resume(cfg, "3333333334", lambda h: None)
     for text in ("4x", "4 4"):
         with pytest.raises(ValueError, match=f"prefix '{text}' must be a string of condition digits"):
             resume(cfg, text, lambda h: None)
