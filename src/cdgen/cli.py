@@ -202,9 +202,6 @@ def _cmd_check(args) -> int:
 def _cmd_stats(args) -> int:
     with open(args.infile) as fh:
         n, rules, assignments = read_assignments(fh)
-    for a in assignments:
-        if not a.is_complete:
-            raise ValueError(f"incomplete assignment {a.encode()} cannot be sized")
     counts = histogram(assignments)
     text = format_histogram(counts) + "\n"
     if args.out:

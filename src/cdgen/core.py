@@ -45,10 +45,7 @@ def parse_rules(spec: str) -> tuple[int, ...]:
 
     Duplicates collapse; the result is ascending and non-empty.
     """
-    codes = sorted({parse_condition(tok) for tok in spec.split(",") if tok.strip()})
-    if not codes:
-        raise ValueError("empty rule set")
-    return tuple(codes)
+    return check_rules(parse_condition(tok) for tok in spec.split(",") if tok.strip())
 
 
 def rules_token(rules: tuple[int, ...]) -> str:

@@ -130,7 +130,7 @@ class Domain:
 def _rows(assignment: Assignment) -> np.ndarray:
     """The orders of a complete assignment as an int8 matrix, one per row."""
     if not assignment.is_complete:
-        raise ValueError("expansion needs a complete assignment")
+        raise ValueError(f"incomplete assignment {assignment.encode()} cannot be expanded")
     return replay(assignment.n, assignment.codes)[1]
 
 
@@ -266,7 +266,10 @@ def read_domain(fh) -> Domain:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        order = core.parse_order(line, n)
+        try:
+            order = core.parse_order(line, n)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {line} is not a linear order on 1..{n}") from None
         if order in orders:
             raise ValueError(f"line {lineno}: order {line} repeats line {orders[order]}")
         orders[order] = lineno

@@ -9,8 +9,9 @@ reject the permutation wherever a valid image is required.
 
 Permutations of 1..n are written as tuples of images: g[x-1] is the image
 of alternative x.  The action lives in one place, :func:`_transform_tables`,
-which tabulates it for a block of permutations at once; the independent
-reference it is tested against is :func:`cdgen.oracle._relabeled`.
+which tabulates it for a block of permutations at once; :func:`acting_set`
+reads its per-triple test off the same tables.  The independent reference
+it is tested against is :func:`cdgen.oracle._relabeled`.
 
 Few relabelings matter to the canonicity tests.  Call g *acting* for
 (n, rules) when every triple keeps some rule inside the rules under g; a
@@ -26,6 +27,7 @@ at every depth, so that one call decides the leaves too.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
@@ -81,27 +83,6 @@ def is_canonical_complete(assignment: Assignment, rules: tuple[int, ...]) -> boo
     return is_partially_lex_max(assignment, rules)
 
 
-def _keeps_some_rule(rules: tuple[int, ...]) -> list[bool]:
-    """Whether a triple keeps some rule, keyed by how g orders its images.
-
-    The key of images x, y, z of a triple's smallest, middle and largest
-    member is 4*(x<y) + 2*(x<z) + (y<z), as in core.RANKBITS_TO_PATTERN;
-    keys 2 and 5 are cyclic and never occur.
-    """
-    allowed = set(rules)
-    out = []
-    for key in range(8):
-        xy, xz, yz = key >> 2 & 1, key >> 1 & 1, key & 1
-        ranks = (3 - xy - xz, 2 + xy - yz, 1 + xz + yz)
-        out.append(
-            any(
-                ranks[i - 1] != j and core.CONDITION_CODES[(ranks[i - 1], j)] in allowed
-                for i, j in (core.CONDITION_PAIRS[c] for c in allowed)
-            )
-        )
-    return out
-
-
 def acting_set(n: int, rules: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every acting relabeling of 1..n, lexicographic by image sequence.
 
@@ -109,8 +90,18 @@ def acting_set(n: int, rules: tuple[int, ...]) -> list[tuple[int, ...]]:
     triple is checked as soon as the image of its largest member is fixed,
     so a dead partial permutation is cut before it is completed.  Raises
     ValueError beyond ACTING_CAP members.
+
+    Whether a triple keeps some rule depends only on how g orders the
+    images x, y, z of its smallest, middle and largest member, so it is
+    read off :func:`_transform_tables` for the six orderings of one
+    triple, keyed 4*(x<y) + 2*(x<z) + (y<z) as in core.RANKBITS_TO_PATTERN.
     """
-    keeps = _keeps_some_rule(rules)
+    orderings = np.array(list(permutations((1, 2, 3))), dtype=np.int8)
+    code_map = _transform_tables(orderings, 3)[1]
+    x, y, z = orderings.T
+    keeps = np.zeros(8, dtype=bool)  # keys 2 and 5 are cyclic and never occur
+    keeps[4 * (x < y) + 2 * (x < z) + (y < z)] = np.isin(code_map[:, 0, list(rules)], rules).any(axis=1)
+    keeps = keeps.tolist()
     pairs_below = [[(a, b) for b in range(2, x) for a in range(1, b)] for x in range(n + 1)]
     images = [0] * (n + 1)
     used = [False] * (n + 1)
@@ -178,7 +169,7 @@ def acting_tables(n: int, rules: tuple[int, ...]):
     alternative of its support; a row fixing the support yields the prefix
     itself, which is never greater.
     """
-    key = (n, tuple(sorted(set(rules))))
+    key = (n, core.check_rules(rules))
     if key not in _ACTING_CACHE:
         perms = np.array(acting_set(*key), dtype=np.int8)
         slot_map, code_map = _transform_tables(perms, n)

@@ -113,7 +113,7 @@ class SearchHit:
 
 
 class _Engine:
-    """Searches one subtree a frontier level at a time; self.codes holds its root's prefix."""
+    """Searches the subtree under the prefix given to run, a frontier level at a time."""
 
     def __init__(self, cfg: SearchConfig):
         self.n = cfg.n
@@ -123,7 +123,6 @@ class _Engine:
         self.sink = None
         self.collect_at: int | None = None
         self.collected: list[bytes] = []
-        self.codes = np.zeros(self.slots, dtype=np.uint8)
         self.tables = acting_tables(cfg.n, cfg.rules)
         self.rule_codes = np.array(cfg.rules, dtype=np.uint8)
         self.cover = np.array(
@@ -134,31 +133,28 @@ class _Engine:
         )
 
     def root_state(self):
-        # the rec arguments of a full run; perfbench/build_goldens.py calls this
-        return (0, *replay(self.n, b""))
+        # kept only for perfbench/build_goldens.py, which calls rec(*root_state())
+        return (b"", None)
 
     def run(self, prefix: bytes, sink) -> SearchStats:
         """Search the subtree under a code prefix, calling sink once per hit."""
         self.sink = sink
-        self.codes[: len(prefix)] = list(prefix)
         m, pd, pat = replay(self.n, prefix)
         if len(prefix) == self.slots and not self.cover[pattern_sets(pat)[: self.slots]].all():
-            # rec checks feasibility in the child that fills the last slot; a complete prefix skipped it
+            # _children checks feasibility in the child that fills the last slot; a complete prefix skipped it
             self.stats.nodes_visited += 1
             self.stats.nodes_pruned += 1
             return self.stats
-        self.rec(len(prefix), m, pd, pat)
+        codes = np.frombuffer(prefix, dtype=np.uint8).reshape(1, -1)
+        rows = np.arange(len(pd), dtype=np.int32)
+        self._level(len(prefix), m, codes, pd, pat, rows, np.zeros(len(pd), dtype=np.int32))
         return self.stats
+
+    rec = run  # kept only for perfbench/build_goldens.py
 
     def _extend(self, pd, pat, m):
         # a method only because perfbench/tracer.py hooks it and test_bench_contract needs the call
         return extend_rows(pd, pat, m)
-
-    def rec(self, k, m, pd, pat):
-        """Search the subtree of the node self.codes[:k], whose rows are pd and pat."""
-        codes = self.codes[None, :k].copy()
-        rows = np.arange(len(pd), dtype=np.int32)
-        self._level(k, m, codes, pd, pat, rows, np.zeros(len(pd), dtype=np.int32))
 
     def _level(self, k, m, codes, pd, pat, rows, owner):
         """Search the subtrees of a frontier at depth k, in order, one level a step.
@@ -250,9 +246,8 @@ def _emit_payload(payload, sink):
         sink(hit)
 
 
-def _generate_parallel(cfg: SearchConfig, sink) -> SearchStats:
+def _generate_parallel(cfg: SearchConfig, sink, workers: int) -> SearchStats:
     scout = _Engine(cfg)
-    workers = min(cfg.thread_count, os.cpu_count() or 1)
     target = 4 * workers
     depth = 1
     while True:
@@ -283,10 +278,11 @@ def generate(cfg: SearchConfig, sink) -> SearchStats:
     outputs in the same order, so the stream is identical either way.
     """
     start = perf_counter()
-    if cfg.thread_count == 1:
+    workers = min(cfg.thread_count, os.cpu_count() or 1)
+    if workers == 1:
         stats = _Engine(cfg).run(b"", sink)
     else:
-        stats = _generate_parallel(cfg, sink)
+        stats = _generate_parallel(cfg, sink, workers)
     stats.wall_time = perf_counter() - start
     return stats
 

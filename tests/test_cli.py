@@ -141,7 +141,7 @@ def test_failed_expand_prints_no_path(tmp_path, capsys):
     out_dir = tmp_path / "domains"
     code, outtext, err = run_cli(capsys, "expand", "--in", str(conds), "--out-dir", str(out_dir))
     assert code == 1
-    assert err.startswith("error:") and "complete" in err
+    assert err.startswith("error:") and "incomplete assignment 4400" in err
     assert outtext == ""
     assert sorted(out_dir.iterdir()) == []
 

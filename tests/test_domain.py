@@ -211,9 +211,18 @@ def test_read_domain_rejects_a_bad_n_field(header, message):
         read_domain(io.StringIO(header + "\n1 2 3\n"))
 
 
-def test_read_domain_rejects_a_repeated_order():
-    with pytest.raises(ValueError, match="line 3: order 123 repeats line 2"):
-        read_domain(io.StringIO("# n=3\n123\n123\n132\n"))
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("123\n123\n132\n", "line 3: order 123 repeats line 2"),
+        ("1x3\n", "line 2: 1x3 is not a linear order on 1..3"),
+        ("12\n", "line 2: 12 is not a linear order on 1..3"),
+    ],
+    ids=["repeated", "not-digits", "too-short"],
+)
+def test_read_domain_rejects_a_repeated_order(body, message):
+    with pytest.raises(ValueError, match=message):
+        read_domain(io.StringIO("# n=3\n" + body))
 
 
 def test_domain_membership_and_ordering():

@@ -5,7 +5,7 @@ package's own action, ``iso._transform_tables``, is checked against it in
 ``test_oracle.py``.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -295,8 +295,9 @@ def test_exact_gate_matches_oracle_canonical():
 def test_acting_set_matches_brute_force():
     """The acting set is every g that carries some complete assignment
     into the rules."""
-    cases = [(n, rules) for n in (3, 4, 5) for rules in [(3, 4), (2, 5), (2, 3)]]
-    cases.append((4, ALL_SIX))
+    every = [rules for size in range(1, 7) for rules in combinations(ALL_SIX, size)]
+    cases = [(n, rules) for n in (3, 4) for rules in every]
+    cases += [(5, rules) for rules in [(3, 4), (2, 5), (2, 3)]]
     for n, rules in cases:
         complete = [Assignment(n, bytes(c)) for c in product(rules, repeat=comb(n, 3))]
         carried = [

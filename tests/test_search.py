@@ -400,6 +400,19 @@ def test_worker_pool_is_capped_at_the_cpu_count(in_process_pool):
     )
 
 
+def test_one_cpu_runs_serially(in_process_pool, monkeypatch):
+    """--threads on a one-CPU machine starts no pool and gives the serial run."""
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1)
+    rules = core.parse_rules("1N3,2N1")
+    serial, s_stats = run_search(SearchConfig(n=5, rules=rules))
+    threaded, t_stats = run_search(SearchConfig(n=5, rules=rules, thread_count=2))
+    assert in_process_pool == []
+    assert codes_of(threaded) == codes_of(serial)
+    assert (t_stats.nodes_visited, t_stats.nodes_pruned, t_stats.leaves_emitted) == (
+        s_stats.nodes_visited, s_stats.nodes_pruned, s_stats.leaves_emitted,
+    )
+
+
 def test_hits_build_a_domain_only_when_it_is_read(monkeypatch, in_process_pool):
     built = []
     init = domain.Domain.__init__
