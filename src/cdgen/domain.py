@@ -223,17 +223,6 @@ def format_histogram(counts: dict[int, int]) -> str:
     return "\n".join(f"{size}: {count}" for size, count in sorted(counts.items()))
 
 
-def parse_histogram(text: str) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        size, count = line.split(":")
-        counts[int(size)] = int(count)
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Domain files: header with n and the source code string, one order per line.
 

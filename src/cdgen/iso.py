@@ -16,10 +16,15 @@ it is tested against is :func:`cdgen.oracle._relabeled`.
 Few relabelings matter to the canonicity tests.  Call g *acting* for
 (n, rules) when every triple keeps some rule inside the rules under g; a
 relabeling that is not acting maps no complete assignment into the rules,
-so it can neither beat a complete assignment nor an open prefix.  The
-acting set is built once per (n, rules) by a depth-first search over
-partial permutations, without visiting all of S_n: at n=8 it has 2, 34
-and 8 members for 2N3,2N1, 1N3,3N1 and 1N3,2N1, against 8! = 40320.  Both
+so it can neither beat a complete assignment nor an open prefix.  Whether
+g acts depends only on the patterns of the triples in the order that lists
+1..n by image, so the acting set is a class of orders avoiding some
+patterns of length 3, as counted by Simion and Schmidt, "Restricted
+permutations" (1985).  It is built once per (n, rules) by the row
+extension that expands domains, :func:`cdgen.domain.extend_rows`, without
+visiting all of S_n.  The 63 rule sets fall into eight such classes, of
+2, F(n+1) (Fibonacci), n, 2^(n-1) or n! members; at n=8 2N3,2N1, 1N3,3N1
+and 1N3,2N1 have 2, 34 and 8, against 8! = 40320.  Both
 canonicity tests are one dominance test over the rows of that set,
 :func:`dominated`, which the search engine calls once per frontier level
 at every depth, so that one call decides the leaves too.
@@ -32,7 +37,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from . import core
+from . import core, domain
 from .lexcode import Assignment
 
 # Largest acting set that is tabulated.  No rule set exceeds it up to n=8,
@@ -86,49 +91,36 @@ def is_canonical_complete(assignment: Assignment, rules: tuple[int, ...]) -> boo
 def acting_set(n: int, rules: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every acting relabeling of 1..n, lexicographic by image sequence.
 
-    Alternatives receive their images in the order 1, 2, .., n, and each
-    triple is checked as soon as the image of its largest member is fixed,
-    so a dead partial permutation is cut before it is completed.  Raises
-    ValueError beyond ACTING_CAP members.
-
     Whether a triple keeps some rule depends only on how g orders the
-    images x, y, z of its smallest, middle and largest member, so it is
-    read off :func:`_transform_tables` for the six orderings of one
-    triple, keyed 4*(x<y) + 2*(x<z) + (y<z) as in core.RANKBITS_TO_PATTERN.
+    images x, y, z of its smallest, middle and largest member: on the
+    pattern of the triple in the order that lists 1..n by image.  The kept
+    patterns are read off :func:`_transform_tables` for the six orderings
+    of one triple, as a mask of pattern bits (core.RANKBITS_TO_PATTERN).
+    The orders then grow by :func:`cdgen.domain.extend_rows`, one
+    alternative per block, and a row stays while each new triple shows a
+    kept pattern.  A surviving order lists the alternatives by image, so
+    g(x) is one plus the position of x.  Raises ValueError once a block
+    holds more than ACTING_CAP rows; no class of acting sets shrinks as n
+    grows, so that refuses exactly the sets over the cap.
     """
+    rules = core.check_rules(rules)
     orderings = np.array(list(permutations((1, 2, 3))), dtype=np.int8)
-    code_map = _transform_tables(orderings, 3)[1]
     x, y, z = orderings.T
-    keeps = np.zeros(8, dtype=bool)  # keys 2 and 5 are cyclic and never occur
-    keeps[4 * (x < y) + 2 * (x < z) + (y < z)] = np.isin(code_map[:, 0, list(rules)], rules).any(axis=1)
-    keeps = keeps.tolist()
-    pairs_below = [[(a, b) for b in range(2, x) for a in range(1, b)] for x in range(n + 1)]
-    images = [0] * (n + 1)
-    used = [False] * (n + 1)
-    found: list[tuple[int, ...]] = []
-
-    def place(x: int) -> None:
-        if x > n:
-            if len(found) == ACTING_CAP:
-                raise ValueError(
-                    f"n={n} with rules {core.rules_token(rules)} has more than "
-                    f"{ACTING_CAP} acting relabelings, the cap of the canonicity tables"
-                )
-            found.append(tuple(images[1:]))
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            if all(
-                keeps[4 * (images[a] < images[b]) + 2 * (images[a] < v) + (images[b] < v)]
-                for a, b in pairs_below[x]
-            ):
-                used[v], images[x] = True, v
-                place(x + 1)
-                used[v] = False
-
-    place(1)
-    return found
+    pattern = np.array(core.RANKBITS_TO_PATTERN)[4 * (x < y) + 2 * (x < z) + (y < z)]
+    keeps = np.isin(_transform_tables(orderings, 3)[1][:, 0, list(rules)], rules).any(axis=1)
+    mask = np.uint8(np.bitwise_or.reduce(1 << pattern[keeps]))
+    pd, pat = domain.root_rows(n)
+    for m in range(2, n):
+        pd, pat = domain.extend_rows(pd, pat, m)
+        keep = ((pat[:, comb(m, 3) : comb(m + 1, 3)] & mask) != 0).all(axis=1)
+        pd, pat = pd[keep], pat[keep]
+        if len(pd) > ACTING_CAP:
+            raise ValueError(
+                f"n={n} with rules {core.rules_token(rules)} has more than "
+                f"{ACTING_CAP} acting relabelings, the cap of the canonicity tables"
+            )
+    perms = np.argsort(pd, axis=1) + 1
+    return list(map(tuple, perms[np.lexsort(perms.T[::-1])].tolist()))
 
 
 def _transform_tables(perms: np.ndarray, n: int):

@@ -3,7 +3,7 @@
 Every comparison in this file is exact; there are no numeric tolerances.
 Run with `pytest -s tests/test_acceptance.py` (or `-rA`) to see the lines.
 Criterion 3 performs the full n=8 search for 1N3,2N1 and takes about
-half a minute.  The two long n=8 searches behind criterion 4 only run when
+three seconds.  The two long n=8 searches behind criterion 4 only run when
 CDGEN_EXTENDED=1 is set; their scaled-down n=6 variant always runs.
 """
 

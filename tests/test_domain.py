@@ -17,7 +17,6 @@ from cdgen.domain import (
     is_copious,
     is_maximal,
     is_unitary,
-    parse_histogram,
     read_domain,
     satisfied_conditions,
     write_domain,
@@ -168,8 +167,6 @@ def test_histogram_and_formats():
     assert counts == {4: 2, 8: 1}
     text = format_histogram(counts)
     assert text == "4: 2\n8: 1"
-    assert parse_histogram(text) == counts
-    assert parse_histogram("# comment\n\n4: 2\n8: 1\n") == counts
 
 
 def test_domain_file_round_trip():

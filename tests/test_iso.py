@@ -6,7 +6,7 @@ package's own action, ``iso._transform_tables``, is checked against it in
 """
 
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -292,29 +292,97 @@ def test_exact_gate_matches_oracle_canonical():
             assert iso.is_canonical_complete(a, rules) == (canonical == a)
 
 
+EVERY_RULE_SET = [rules for size in range(1, 7) for rules in combinations(ALL_SIX, size)]
+
+
+def _keeps_per_triple(n, rules):
+    """Every g under which every triple keeps some rule, by the oracle:
+    one condition at a time, on an otherwise open assignment."""
+    slots = comb(n, 3)
+
+    def keeps(g, s):
+        return any(
+            oracle._relabeled(bytes(s) + bytes([c]) + bytes(slots - s - 1), n, g, frozenset(rules)) is not None
+            for c in rules
+        )
+
+    return [g for g in permutations(range(1, n + 1)) if all(keeps(g, s) for s in range(slots))]
+
+
 def test_acting_set_matches_brute_force():
-    """The acting set is every g that carries some complete assignment
-    into the rules."""
-    every = [rules for size in range(1, 7) for rules in combinations(ALL_SIX, size)]
-    cases = [(n, rules) for n in (3, 4) for rules in every]
-    cases += [(5, rules) for rules in [(3, 4), (2, 5), (2, 3)]]
-    for n, rules in cases:
-        complete = [Assignment(n, bytes(c)) for c in product(rules, repeat=comb(n, 3))]
-        carried = [
-            g
-            for g in permutations(range(1, n + 1))
-            if any(relabel(a, g, rules) is not None for a in complete)
-        ]
-        assert iso.acting_set(n, rules) == carried
+    """The acting set is every g under which every triple keeps some rule,
+    for all 63 rule sets at n = 3..5; at n = 3, 4 that is also every g that
+    carries some complete assignment into the rules."""
+    for n in (3, 4, 5):
+        for rules in EVERY_RULE_SET:
+            acting = iso.acting_set(n, rules)
+            assert acting == _keeps_per_triple(n, rules)
+            if n < 5:
+                complete = [Assignment(n, bytes(c)) for c in product(rules, repeat=comb(n, 3))]
+                assert acting == [
+                    g
+                    for g in permutations(range(1, n + 1))
+                    if any(relabel(a, g, rules) is not None for a in complete)
+                ]
+
+
+def test_acting_set_validates_rules():
+    with pytest.raises(ValueError, match="invalid condition code 0"):
+        iso.acting_set(4, (0, 3))
+    with pytest.raises(ValueError, match="invalid condition code 7"):
+        iso.acting_set(4, (7,))
+
+
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+# The eight classes of acting sets, keyed by the acting set at n = 3 (the
+# kept patterns), with their sizes as functions of n.
+ACTING_CLASSES = {
+    ((1, 2, 3), (1, 3, 2)): lambda n: 2,
+    ((1, 2, 3), (2, 1, 3)): lambda n: 2,
+    ((1, 2, 3), (3, 2, 1)): lambda n: 2,
+    ((1, 2, 3), (1, 3, 2), (2, 1, 3)): lambda n: _fibonacci(n + 1),
+    ((1, 2, 3), (1, 3, 2), (3, 2, 1)): lambda n: n,
+    ((1, 2, 3), (2, 1, 3), (3, 2, 1)): lambda n: n,
+    ((1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)): lambda n: 2 ** (n - 1),
+    tuple(permutations((1, 2, 3))): factorial,
+}
 
 
 def test_acting_set_sizes():
-    assert len(iso.acting_set(8, (3, 4))) == 2
-    assert len(iso.acting_set(8, (2, 5))) == 34
-    assert len(iso.acting_set(8, (2, 3))) == 8
-    assert len(iso.acting_set(8, ALL_SIX)) == iso.ACTING_CAP
-    for n in range(3, 11):
-        assert [len(iso.acting_set(n, (c,))) for c in ALL_SIX] == [2] * 6
+    """Every rule set falls into one of eight classes, and each class's
+    size never falls as n grows, so a block over ACTING_CAP rows means a
+    refused acting set."""
+    classes = {}
+    for rules in EVERY_RULE_SET:
+        classes.setdefault(tuple(iso.acting_set(3, rules)), []).append(rules)
+    assert classes.keys() == ACTING_CLASSES.keys()
+    assert [len(classes[key]) for key in ACTING_CLASSES] == [3, 3, 3, 5, 5, 5, 2, 37]
+    # the standard pairs 2N3,2N1, 1N3,3N1 and 1N3,2N1
+    assert (3, 4) in classes[((1, 2, 3), (3, 2, 1))]
+    assert (2, 5) in classes[((1, 2, 3), (1, 3, 2), (2, 1, 3))]
+    assert (2, 3) in classes[((1, 2, 3), (1, 3, 2), (3, 2, 1))]
+    for key, size in ACTING_CLASSES.items():
+        sizes = [size(n) for n in range(3, 11) if size(n) <= iso.ACTING_CAP]
+        assert sizes == sorted(sizes)
+        for rules in classes[key]:
+            assert [len(iso.acting_set(n, rules)) for n in range(3, 3 + len(sizes))] == sizes
+
+
+def test_acting_set_refused_from_n9_exactly_for_the_symmetric_pairs():
+    pairs = [(1, 6), (2, 4), (3, 5)]  # 1N2,3N2  1N3,2N3  2N1,3N1
+    for rules in pairs:
+        with pytest.raises(ValueError, match="acting relabelings"):
+            iso.acting_set(9, rules)
+    unrefused = [rules for rules in EVERY_RULE_SET if not any(set(p) <= set(rules) for p in pairs)]
+    assert len(unrefused) == 26
+    for rules in unrefused:
+        assert len(iso.acting_set(9, rules)) <= 2 ** 8  # the largest class below S_9
 
 
 def test_dominated_on_engine_codes_matches_partial_test():
