@@ -14,7 +14,8 @@ conditions with i != j can hold in a domain containing the ascending order
 
 from __future__ import annotations
 
-from itertools import permutations
+import functools
+from itertools import combinations, permutations
 from math import comb
 
 # Code table for the six valid never conditions.  Code 0 is reserved for
@@ -29,7 +30,7 @@ def parse_condition(token: str) -> int:
     """Parse a token like '2N3' (case-insensitive) into a condition code."""
     t = token.strip().upper()
     parts = t.split("N")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"malformed never condition {token!r}; expected e.g. '2N3'")
     i, j = int(parts[0]), int(parts[1])
     if not (1 <= i <= 3 and 1 <= j <= 3) or i == j:
@@ -68,24 +69,21 @@ def check_rules(rules) -> tuple[int, ...]:
 # Triples in co-lexicographic order.
 
 
+@functools.cache
+def _colex_triples(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(sorted(combinations(range(1, n + 1), 3), key=lambda t: t[::-1]))
+
+
 def triple_at(k: int, n: int) -> tuple[int, int, int]:
     """The triple with co-lex rank k among all triples over 1..n."""
     if not (0 <= k < comb(n, 3)):
         raise ValueError(f"triple rank {k} out of range for n={n}")
-    c = 3
-    while comb(c, 3) <= k:
-        c += 1
-    rem = k - comb(c - 1, 3)
-    b = 2
-    while comb(b, 2) <= rem:
-        b += 1
-    a = rem - comb(b - 1, 2) + 1
-    return (a, b, c)
+    return _colex_triples(n)[k]
 
 
 def all_triples(n: int) -> list[tuple[int, int, int]]:
     """All triples over 1..n in co-lex order."""
-    return [triple_at(k, n) for k in range(comb(n, 3))]
+    return list(_colex_triples(n))
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +100,8 @@ def check_order(order, n: int) -> tuple[int, ...]:
 def parse_order(text: str, n: int) -> tuple[int, ...]:
     """Parse an order from '41325' (n <= 9) or '4,1,3,2,5' notation."""
     text = text.strip()
+    if not text.isascii():  # int() would read other scripts' digits
+        raise ValueError(f"{text!r} is not a linear order on 1..{n}")
     if "," in text:
         o = tuple(int(p) for p in text.split(","))
     else:
@@ -146,15 +146,6 @@ def pattern_satisfies(pattern, code: int) -> bool:
     return pattern[j - 1] != i
 
 
-_SAT_TABLE = {
-    (p, code): pattern_satisfies(p, code) for p in ALL_PATTERNS for code in ALL_CONDITIONS
-}
-
-# Pattern index from the three pairwise position comparisons, keyed by
-# 4*(pos_a<pos_b) + 2*(pos_a<pos_c) + (pos_b<pos_c) for a triple (a, b, c).
-# Indices 2 and 5 encode cyclic comparisons that no order produces.
-RANKBITS_TO_PATTERN = (5, 3, 255, 2, 4, 255, 1, 0)
-
 # Bitmask over ALL_PATTERNS indices of the four patterns a condition allows.
 SAT_MASKS = {
     code: sum(1 << k for k, p in enumerate(ALL_PATTERNS) if pattern_satisfies(p, code))
@@ -164,4 +155,4 @@ SAT_MASKS = {
 
 def satisfies(order, t, code: int) -> bool:
     """True iff the order's pattern on triple t does not violate the condition."""
-    return _SAT_TABLE[(restrict(order, t), code)]
+    return pattern_satisfies(restrict(order, t), code)

@@ -27,10 +27,19 @@ from math import comb
 import numpy as np
 
 from . import core
-from .lexcode import Assignment, num_slots
+from .lexcode import Assignment, header_fields, num_slots
 
-# 1 << pattern index, keyed like core.RANKBITS_TO_PATTERN; cyclic keys give 0.
-_RANK_BIT = np.array([0 if p == 255 else 1 << p for p in core.RANKBITS_TO_PATTERN], dtype=np.uint8)
+
+def _rank_key(pa, pb, pc):
+    """4*(a before b) + 2*(a before c) + (b before c), from the positions of a < b < c."""
+    return (pa < pb).view(np.uint8) << 2 | (pa < pc).view(np.uint8) << 1 | (pb < pc).view(np.uint8)
+
+
+# 1 << pattern index (into core.ALL_PATTERNS), keyed by _rank_key; the two
+# cyclic keys, which no order produces, give 0.
+_RANK_BIT = np.zeros(8, dtype=np.uint8)
+_pos = np.array([[p.index(x) for p in core.ALL_PATTERNS] for x in (1, 2, 3)], dtype=np.int8)  # of a, b, c
+_RANK_BIT[_rank_key(*_pos)] = 1 << np.arange(len(core.ALL_PATTERNS), dtype=np.uint8)
 
 # SAT[c]: the pattern bits condition code c allows.  SAT[0], the unassigned
 # code, allows nothing.
@@ -71,9 +80,8 @@ def extend_rows(pd, pat, m):
     b, a = np.tril_indices(m, -1)
     pa, pb = pos[:, None, a], pos[:, None, b]
     at = np.arange(e, dtype=np.int8)[None, :, None]
-    key = (pa < pb).view(np.uint8) << 2 | (pa < at).view(np.uint8) << 1 | (pb < at).view(np.uint8)
     patn = np.repeat(pat, e, axis=0)
-    patn.reshape(rows, e, pat.shape[1])[:, :, comb(m, 3) : comb(e, 3)] = _RANK_BIT[key]
+    patn.reshape(rows, e, pat.shape[1])[:, :, comb(m, 3) : comb(e, 3)] = _RANK_BIT[_rank_key(pa, pb, at)]
     return pdn, patn
 
 
@@ -235,16 +243,7 @@ def write_domain(fh, domain: Domain) -> None:
 
 
 def read_domain(fh) -> Domain:
-    header = fh.readline().strip()
-    if not header.startswith("#"):
-        raise ValueError("domain file must start with a '#' header line")
-    fields = dict(part.split("=", 1) for part in header[1:].split() if "=" in part)
-    if "n" not in fields:
-        raise ValueError("domain header is missing the n= field")
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise ValueError(f"domain header field n={fields['n']!r} is not an integer") from None
+    n, fields = header_fields(fh.readline().strip(), "domain")
     source = fields.get("source", "unknown")
     try:
         source = None if source == "unknown" else Assignment.from_string(source, n)

@@ -32,7 +32,6 @@ at every depth, so that one call decides the leaves too.
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
@@ -94,26 +93,26 @@ def acting_set(n: int, rules: tuple[int, ...]) -> list[tuple[int, ...]]:
     Whether a triple keeps some rule depends only on how g orders the
     images x, y, z of its smallest, middle and largest member: on the
     pattern of the triple in the order that lists 1..n by image.  The kept
-    patterns are read off :func:`_transform_tables` for the six orderings
-    of one triple, as a mask of pattern bits (core.RANKBITS_TO_PATTERN).
-    The orders then grow by :func:`cdgen.domain.extend_rows`, one
+    patterns are read off :func:`_transform_tables` for the six orders of
+    1..3 that :func:`cdgen.domain.extend_rows` builds, as a mask of their
+    pattern bits.  The orders then grow by the same extension, one
     alternative per block, and a row stays while each new triple shows a
-    kept pattern.  A surviving order lists the alternatives by image, so
-    g(x) is one plus the position of x.  Raises ValueError once a block
-    holds more than ACTING_CAP rows; no class of acting sets shrinks as n
-    grows, so that refuses exactly the sets over the cap.
+    kept pattern; only the newest block's bits are read, so each block
+    starts from blank bits C(m+1,3) wide, whatever n is.  A surviving
+    order lists the alternatives by image, so g(x) is one plus the
+    position of x.  Raises ValueError once a block holds more than
+    ACTING_CAP rows; no class of acting sets shrinks as n grows, so that
+    refuses exactly the sets over the cap.
     """
     rules = core.check_rules(rules)
-    orderings = np.array(list(permutations((1, 2, 3))), dtype=np.int8)
-    x, y, z = orderings.T
-    pattern = np.array(core.RANKBITS_TO_PATTERN)[4 * (x < y) + 2 * (x < z) + (y < z)]
-    keeps = np.isin(_transform_tables(orderings, 3)[1][:, 0, list(rules)], rules).any(axis=1)
-    mask = np.uint8(np.bitwise_or.reduce(1 << pattern[keeps]))
-    pd, pat = domain.root_rows(n)
-    for m in range(2, n):
-        pd, pat = domain.extend_rows(pd, pat, m)
-        keep = ((pat[:, comb(m, 3) : comb(m + 1, 3)] & mask) != 0).all(axis=1)
-        pd, pat = pd[keep], pat[keep]
+    pd, pat = domain.extend_rows(*domain.root_rows(3), 2)
+    perms = np.argsort(pd, axis=1) + 1
+    keeps = np.isin(_transform_tables(perms, 3)[1][:, 0, list(rules)], rules).any(axis=1)
+    mask = np.bitwise_or.reduce(pat[keeps, 0])
+    pd = pd[keeps]
+    for m in range(3, n):
+        pd, pat = domain.extend_rows(pd, np.zeros((len(pd), comb(m + 1, 3)), dtype=np.uint8), m)
+        pd = pd[((pat[:, comb(m, 3) :] & mask) != 0).all(axis=1)]
         if len(pd) > ACTING_CAP:
             raise ValueError(
                 f"n={n} with rules {core.rules_token(rules)} has more than "
@@ -134,9 +133,9 @@ def _transform_tables(perms: np.ndarray, n: int):
     images = perms[:, triples - 1].astype(np.int64)  # (G, S, 3)
     ranks = (images[..., None] > images[..., None, :]).sum(axis=-1)  # 0..2
     srt = np.sort(images, axis=-1)
-    c3 = np.array([comb(max(v - 1, 0), 3) for v in range(n + 1)])
-    c2 = np.array([comb(max(v - 1, 0), 2) for v in range(n + 1)])
-    slot_map = c3[srt[..., 2]] + c2[srt[..., 1]] + (srt[..., 0] - 1)
+    slot_of = np.zeros((n + 1,) * 3, dtype=np.int64)
+    slot_of[tuple(triples.T)] = np.arange(len(triples))
+    slot_map = slot_of[srt[..., 0], srt[..., 1], srt[..., 2]]
     code_map = np.zeros(images.shape[:2] + (7,), dtype=np.int8)
     for c, (x, y) in core.CONDITION_PAIRS.items():
         lut = np.array(

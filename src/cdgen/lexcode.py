@@ -38,6 +38,8 @@ class Assignment:
 
     @classmethod
     def from_string(cls, digits: str, n: int) -> "Assignment":
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{digits!r} is not a string of the digits 0..6")
         return cls(n, bytes(int(ch) for ch in digits))
 
     def encode(self) -> str:
@@ -83,21 +85,29 @@ def header_line(n: int, rules: tuple[int, ...]) -> str:
     return f"# n={n} rules={core.rules_token(rules)} order=colex codes={CODE_LEGEND}"
 
 
-def parse_header(line: str) -> tuple[int, tuple[int, ...]]:
+def header_fields(line: str, kind: str, keys: tuple[str, ...] = ()) -> tuple[int, dict[str, str]]:
+    """n and the key=value fields of the '#' header line of a ``kind``
+    ("conditions" or "domain") file, which must hold n= and every key of ``keys``."""
     if not line.startswith("#"):
-        raise ValueError("conditions file must start with a '#' header line")
+        raise ValueError(f"{kind} file must start with a '#' header line")
+    name = "header" if kind == "conditions" else f"{kind} header"
     fields = dict(part.split("=", 1) for part in line[1:].split() if "=" in part)
-    for key in ("n", "rules", "order", "codes"):
+    for key in ("n", *keys):
         if key not in fields:
-            raise ValueError(f"header is missing the {key}= field")
+            raise ValueError(f"{name} is missing the {key}= field")
+    try:
+        n = int(fields["n"].encode("ascii"))  # from bytes, int() reads no non-ASCII digits
+    except ValueError:
+        raise ValueError(f"{name} field n={fields['n']!r} is not an integer") from None
+    return n, fields
+
+
+def parse_header(line: str) -> tuple[int, tuple[int, ...]]:
+    n, fields = header_fields(line, "conditions", ("rules", "order", "codes"))
     if fields["order"] != "colex":
         raise ValueError(f"unsupported triple order {fields['order']!r}")
     if fields["codes"] != CODE_LEGEND:
         raise ValueError("header code table does not match this package's code table")
-    try:
-        n = int(fields["n"])
-    except ValueError:
-        raise ValueError(f"header field n={fields['n']!r} is not an integer") from None
     return n, core.parse_rules(fields["rules"])
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cdgen import cli
 from cdgen.cli import main, read_manifest
 from cdgen.domain import read_domain
 from cdgen.lexcode import header_line, read_assignments
@@ -282,6 +283,19 @@ def test_failed_generate_leaves_no_output(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_memory_error_is_reported_and_leaves_no_output(tmp_path, capsys, monkeypatch):
+    """A search that runs out of memory ends in an error line, not a traceback."""
+
+    def generate(cfg, sink):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "generate", generate)
+    out = tmp_path / "x"
+    code, _, err = run_cli(capsys, "generate", "--n", "26", "--rules", "2N3", "--out", str(out))
+    assert (code, err) == (1, "error: MemoryError\n")
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_prefix_with_threads_is_refused(tmp_path, capsys):

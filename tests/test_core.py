@@ -1,10 +1,11 @@
 """Triple bookkeeping, patterns, and the condition tables."""
 
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
-from cdgen import core
+from cdgen import core, domain
 
 
 def test_condition_tables_agree():
@@ -27,6 +28,8 @@ def test_parse_condition_accepts_both_cases():
         core.parse_condition("7N1")
     with pytest.raises(ValueError):
         core.parse_condition("N3")
+    with pytest.raises(ValueError, match="malformed never condition"):
+        core.parse_condition("２N３")  # only ASCII digits
 
 
 def test_parse_rules_sorts_and_dedupes():
@@ -45,6 +48,13 @@ def test_triple_index_is_colex_rank():
         triples = core.all_triples(n)
         assert triples == sorted(triples, key=lambda t: (t[2], t[1], t[0]))
         assert sorted(triples) == list(combinations(range(1, n + 1), 3))
+
+
+def test_triple_index_matches_the_rank_formula():
+    # the closed form that oracle._relabeled uses to place an image triple
+    for n in range(3, 13):
+        for k, (a, b, c) in enumerate(core.all_triples(n)):
+            assert comb(c - 1, 3) + comb(b - 1, 2) + a - 1 == k
 
 
 def test_triple_index_prefix_property():
@@ -98,15 +108,14 @@ def test_sat_masks_match_pattern_satisfies():
 
 
 def test_rankbits_table_matches_restrict():
-    # the lookup keyed on pairwise position comparisons must agree with
-    # computing the pattern through restrict
+    # the pattern bits keyed on pairwise position comparisons must agree
+    # with computing the pattern through restrict
     for order in permutations(range(1, 6)):
         for t in core.all_triples(5):
             pos = {x: order.index(x) for x in t}
             a, b, c = t
             bits = 4 * (pos[a] < pos[b]) + 2 * (pos[a] < pos[c]) + (pos[b] < pos[c])
-            found = core.RANKBITS_TO_PATTERN[bits]
-            assert core.ALL_PATTERNS[found] == core.restrict(order, t)
+            assert domain._RANK_BIT[bits] == 1 << core.ALL_PATTERNS.index(core.restrict(order, t))
 
 
 def test_satisfies_example():
@@ -135,3 +144,5 @@ def test_order_formatting_round_trip():
         core.parse_order("4132", 5)
     with pytest.raises(ValueError):
         core.parse_order("41322", 5)
+    with pytest.raises(ValueError, match="is not a linear order on 1..5"):
+        core.parse_order("٤١٣٢٥", 5)  # only ASCII digits

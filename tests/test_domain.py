@@ -201,6 +201,8 @@ def test_read_domain_rejects_missing_header():
         ("# n=x source=4", "domain header field n='x' is not an integer"),
         ("# n=3 source=4x", "domain header field source='4x' is not a code string for n=3"),
         ("# n=3 source=44", "domain header field source='44' is not a code string for n=3"),
+        ("# n=4 source=４٤44", "domain header field source='４٤44' is not a code string for n=4"),
+        ("# n=４ source=4444", "domain header field n='４' is not an integer"),
     ],
 )
 def test_read_domain_rejects_a_bad_n_field(header, message):

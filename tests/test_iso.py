@@ -5,6 +5,7 @@ package's own action, ``iso._transform_tables``, is checked against it in
 ``test_oracle.py``.
 """
 
+import tracemalloc
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -445,3 +446,19 @@ def test_dominated_over_a_frontier(rules, monkeypatch):
     # open slot's conditions in the rules, so nothing there is dominated
     assert len(tables[2][1]) == 0
     assert not iso.dominated(np.array([[c] for c in rules], dtype=np.uint8), tables).any()
+
+
+def test_acting_set_refusal_costs_the_same_at_every_n():
+    """Only the newest block's pattern bits are read, so a refusal holds
+    no C(n,3)-wide matrix: n=16 stays far below the 397 MB that such a
+    matrix took, and n=30 is refused by the cap rather than by numpy."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="acting relabelings"):
+            iso.acting_set(16, (2, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20
+    with pytest.raises(ValueError, match="acting relabelings"):
+        iso.acting_set(30, (2, 4))

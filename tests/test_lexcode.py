@@ -39,6 +39,13 @@ def test_code_digits_above_6_are_refused():
     assert Assignment(4, b"\x06\x00\x01\x00").encode() == "6010"
 
 
+def test_only_ascii_digits_are_code_digits():
+    # str.isdigit and int() also take other scripts' digits, such as "４" and "٤"
+    for digits in ("４٤44", "444٤", "44 4", "+444"):
+        with pytest.raises(ValueError, match="is not a string of the digits 0..6"):
+            Assignment.from_string(digits, 4)
+
+
 def test_colex_prefix_detection():
     assert Assignment.from_string("4430", 4).is_colex_prefix()
     assert Assignment.from_string("0000", 4).is_colex_prefix()
@@ -120,7 +127,7 @@ def test_parse_header_rejects_junk():
     with pytest.raises(ValueError):
         parse_header("# n=8 rules=1N3,2N1 order=lex codes=x")
     good = header_line(8, (2, 3))
-    for value in ("x", "8.0", ""):
+    for value in ("x", "8.0", "", "８"):
         with pytest.raises(ValueError, match=f"header field n={value!r} is not an integer"):
             parse_header(good.replace("n=8", f"n={value}"))
 
